@@ -10,8 +10,12 @@ logarithmic frequency grid; every value is returned together with its
 half-resolution estimate so quadrature convergence can be reported.
 
 Time integration offers an embedded Dormand-Prince 5(4) pair with PI step
-control (and optional snapshot harvesting of all internal stages, feeding
-POD) and a fixed-step trapezoidal rule.
+control and a fixed-step trapezoidal rule. The Dormand-Prince integrator can
+harvest every internal stage state as a POD snapshot. Up to
+``config.svd_gram_max`` states the harvest keeps only the n-by-n Gram
+matrix of the snapshots, accumulated block by block (O(n^2) memory); above
+it, it keeps the raw n-by-count snapshot matrix (O(n count)), which the
+Lanczos path of the thin SVD needs (see ``linalg.Snapshots``).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .errors import (
     StepSizeUnderflow,
     UnstableOperand,
 )
-from .linalg import as_dense, lu_factor
+from .linalg import Snapshots, as_dense, lu_factor
 from .nonlinear import NonlinearROM, NonlinearSystem
 from .projection import ReducedSystem
 
@@ -129,15 +133,19 @@ def _as_transfer(system) -> TransferFunction:
     return system.transfer()
 
 
-def _check_stable(tf: TransferFunction, config: Tolerances, label: str):
+def _stable_abscissa(tf: TransferFunction, config: Tolerances,
+                     label: str) -> float | None:
+    """Spectral abscissa of a stable operand; None above the dense cap."""
     sys = tf.sys
     if sys.n > config.dense_cap:
-        return  # stability of very large operands is the caller's assertion
+        # stability of very large operands is the caller's assertion
+        return None
     alpha = spectral_abscissa(sys, config)
     if alpha >= 0.0:
         raise UnstableOperand(
             f"{label} operand has spectral abscissa {alpha:.3e} >= 0; "
             "the H2 integral does not exist")
+    return alpha
 
 
 def h2_error(system_a, system_b=None, omega_max: float | None = None,
@@ -152,15 +160,13 @@ def h2_error(system_a, system_b=None, omega_max: float | None = None,
     """
     tf_a = _as_transfer(system_a)
     tf_b = None if system_b is None else _as_transfer(system_b)
-    _check_stable(tf_a, config, "first")
+    alphas = [_stable_abscissa(tf_a, config, "first")]
     if tf_b is not None:
-        _check_stable(tf_b, config, "second")
+        alphas.append(_stable_abscissa(tf_b, config, "second"))
     if points is None:
         points = config.h2_points
     if omega_max is None:
-        scales = [abs(spectral_abscissa(tf.sys, config))
-                  for tf in (tf_a, tf_b) if tf is not None
-                  and tf.sys.n <= config.dense_cap]
+        scales = [abs(alpha) for alpha in alphas if alpha is not None]
         omega_max = config.h2_omega_factor * max(scales + [1e-6])
     omegas = frequency_grid(omega_max, points)
     norms = _sample_norms(tf_a, tf_b, omegas)
@@ -209,7 +215,7 @@ class Trajectory:
     x: np.ndarray
     y: np.ndarray
     stats: dict
-    snapshots: np.ndarray | None = None
+    snapshots: Snapshots | None = None
 
     def __post_init__(self):
         if np.any(np.diff(self.t) <= 0.0):
@@ -303,13 +309,17 @@ def _initial_step(rhs, t0, x0, f0, rtol, atol, span):
 def integrate_adaptive(system, u, x0, t_span, rtol: float = 1e-6,
                        atol: float = 1e-9, max_steps: int = 100000,
                        harvest_snapshots: bool = False,
-                       fixed_steps: int | None = None) -> Trajectory:
+                       fixed_steps: int | None = None,
+                       config: Tolerances = DEFAULT) -> Trajectory:
     """Dormand-Prince 5(4) with PI step-size control.
 
     ``fixed_steps`` disables error control and takes that many equal steps
-    (used by order studies). With ``harvest_snapshots`` every internal
-    stage state of every accepted step is recorded, which is the snapshot
-    set POD consumes.
+    (used by order studies). With ``harvest_snapshots`` the initial state
+    and every internal stage state of every accepted step form the snapshot
+    set POD consumes, returned as ``Trajectory.snapshots``, a closed
+    :class:`~stabmor.linalg.Snapshots` of shape ``(n, count)``. For
+    n <= ``config.svd_gram_max`` it holds only their n-by-n Gram matrix,
+    whatever the step count; above, it holds the raw n-by-count matrix.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -325,7 +335,9 @@ def integrate_adaptive(system, u, x0, t_span, rtol: float = 1e-6,
     h = span / fixed_steps if fixed_steps else _initial_step(
         rhs, t0, x, f_now, rtol, atol, span)
     ts, xs = [t0], [x.copy()]
-    snaps = [x.copy()] if harvest_snapshots else None
+    snaps = Snapshots(n, config) if harvest_snapshots else None
+    if harvest_snapshots:
+        snaps.append(x)
     k = np.zeros((7, n))
     err_prev = 1e-4
     steps = rejected = 0
@@ -359,8 +371,9 @@ def integrate_adaptive(system, u, x0, t_span, rtol: float = 1e-6,
             ts.append(t)
             xs.append(x.copy())
             if harvest_snapshots:
-                snaps.extend(stage_states[:-1])  # the last stage equals x5
-                snaps.append(x.copy())
+                for xi in stage_states[:-1]:  # the last stage equals x5
+                    snaps.append(xi)
+                snaps.append(x)
             steps += 1
             if not fixed_steps:
                 err = max(err, 1e-10)
@@ -373,9 +386,8 @@ def integrate_adaptive(system, u, x0, t_span, rtol: float = 1e-6,
     xs = np.asarray(xs)
     ys = np.asarray([out(row) for row in xs])
     stats = {"steps": steps, "rejected_steps": rejected, "stage_count": stages}
-    snapshots = np.asarray(snaps).T if harvest_snapshots else None
     return Trajectory(t=np.asarray(ts), x=xs, y=ys, stats=stats,
-                      snapshots=snapshots)
+                      snapshots=snaps.close() if harvest_snapshots else None)
 
 
 def integrate_trapezoidal(system, u, x0, t_span, steps: int,

@@ -27,6 +27,7 @@ __all__ = [
     "householder_qr",
     "sym_eig_dense",
     "dominant_sym_eigs",
+    "Snapshots",
     "thin_svd",
     "real_schur",
     "schur_eigenvalues",
@@ -304,13 +305,85 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     return u
 
 
+# Snapshot columns buffered per Gram update (SNAPSHOT_BLOCK-by-n buffer).
+SNAPSHOT_BLOCK = 1024
+
+
+class Snapshots:
+    """Snapshot columns S (n-by-count), harvested one at a time, for POD.
+
+    Up to n = ``config.svd_gram_max``, where :func:`thin_svd` works from the
+    Gram matrix anyway, only G = S S^T is kept (the method of snapshots):
+    each column is written into one fixed SNAPSHOT_BLOCK-by-n buffer, and
+    every full buffer B is added as G += B^T B. Memory is then O(n^2),
+    whatever the count. Above that size the raw matrix is kept in
+    ``matrix`` (O(n count)), for the Lanczos path of :func:`thin_svd`.
+    ``close`` adds the last partial buffer and releases it. ``shape`` is
+    ``(n, count)`` and ``nbytes`` counts the arrays actually held.
+    """
+
+    def __init__(self, n: int, config: Tolerances = DEFAULT):
+        self.n = n
+        self.count = 0
+        self.gram = np.zeros((n, n)) if n <= config.svd_gram_max else None
+        self.matrix = None
+        self._full: list[np.ndarray] = []  # full buffers of the raw path
+        self._buf = np.empty((SNAPSHOT_BLOCK, n))
+        self._fill = 0
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n, self.count
+
+    @property
+    def nbytes(self) -> int:
+        held = [self.gram, self.matrix, self._buf, *self._full]
+        return sum(a.nbytes for a in held if a is not None)
+
+    def append(self, x) -> None:
+        self._buf[self._fill] = x
+        self._fill += 1
+        self.count += 1
+        if self._fill == SNAPSHOT_BLOCK:
+            self._flush()
+
+    def _flush(self) -> None:
+        if self.gram is not None:
+            block = self._buf[:self._fill]
+            self.gram += block.T @ block
+        else:
+            self._full.append(self._buf)
+            self._buf = np.empty_like(self._buf)
+        self._fill = 0
+
+    def close(self) -> "Snapshots":
+        """Take in the buffered columns and release the buffer."""
+        if self._buf is not None:
+            if self.gram is not None:
+                self._flush()
+            else:
+                self.matrix = np.vstack([*self._full,
+                                         self._buf[:self._fill]]).T
+                self._full = []
+            self._buf = None
+        return self
+
+
+def _gram_svd(g, r: int, config: Tolerances):
+    """Leading r left singular vectors and values of S from G = S S^T."""
+    w, u = sym_eig_dense(0.5 * (g + g.T), config)
+    sigma = np.sqrt(np.clip(w[:r], 0.0, None))
+    return _fix_signs(u[:, :r].copy()), sigma
+
+
 def thin_svd(m, r: int, config: Tolerances = DEFAULT):
     """Leading left singular vectors and singular values of ``m``.
 
     Uses an eigendecomposition of the smaller Gram matrix when its side
     length is at most ``config.svd_gram_max``; beyond that a Lanczos run on
     the Gram operator of the smaller side is used, so only matvecs with
-    ``m`` and ``m^T`` are needed.
+    ``m`` and ``m^T`` are needed. A closed :class:`Snapshots` is taken
+    through its accumulated Gram matrix, or its raw matrix if it kept one.
 
     Returns ``(u, sigma)`` with ``u`` n-by-r orthonormal and ``sigma``
     descending.
@@ -319,14 +392,16 @@ def thin_svd(m, r: int, config: Tolerances = DEFAULT):
     small = min(n, s)
     if not 1 <= r <= small:
         raise ValueError(f"need 1 <= r <= min(n, s) = {small}, got {r}")
+    if isinstance(m, Snapshots):
+        if m.gram is not None:
+            return _gram_svd(m.gram, r, config)
+        m = m.matrix
 
     dense = small <= config.svd_gram_max
     if n <= s:
         if dense:
-            g = as_dense(m @ m.T)
-            w, u = sym_eig_dense(0.5 * (g + g.T), config)
-        else:
-            w, u = dominant_sym_eigs(lambda v: m @ (m.T @ v), n, r, config)
+            return _gram_svd(as_dense(m @ m.T), r, config)
+        w, u = dominant_sym_eigs(lambda v: m @ (m.T @ v), n, r, config)
         sigma = np.sqrt(np.clip(w[:r], 0.0, None))
         return _fix_signs(u[:, :r].copy()), sigma
 

@@ -20,7 +20,8 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .dynsys import LinearSystem
 from .errors import Breakdown, RankDeficient, SingularReducedMass
-from .linalg import as_dense, lu_factor, read_mtx, thin_svd, write_mtx
+from .linalg import (Snapshots, as_dense, lu_factor, read_mtx, thin_svd,
+                     write_mtx)
 
 __all__ = [
     "ProjectionBasis",
@@ -182,12 +183,18 @@ def arnoldi_basis(sys: LinearSystem, r: int, s0: float = 1.0,
                            details={"s0": s0})
 
 
-def pod_basis(snapshots: np.ndarray, r: int,
+def pod_basis(snapshots: np.ndarray | Snapshots, r: int,
               config: Tolerances = DEFAULT) -> ProjectionBasis:
-    """Dominant r left singular vectors of a snapshot matrix."""
-    snapshots = np.atleast_2d(np.asarray(snapshots, dtype=float))
-    if snapshots.ndim != 2:
-        raise ValueError("snapshots must form a matrix")
+    """Dominant r left singular vectors of a snapshot matrix.
+
+    ``snapshots`` is an n-by-count matrix, or the :class:`Snapshots` that
+    ``integrate_adaptive`` harvests: up to ``config.svd_gram_max`` states
+    that holds only the n-by-n Gram matrix, and above it the raw matrix.
+    """
+    if not isinstance(snapshots, Snapshots):
+        snapshots = np.atleast_2d(np.asarray(snapshots, dtype=float))
+        if snapshots.ndim != 2:
+            raise ValueError("snapshots must form a matrix")
     u, sigma = thin_svd(snapshots, r, config)
     if sigma[r - 1] <= config.rank_deficient * max(sigma[0], 1e-300):
         raise RankDeficient(

@@ -19,6 +19,7 @@ from stabmor.analysis import (
     output_error,
     write_csv,
 )
+from stabmor.config import DEFAULT
 from stabmor.dynsys import LinearSystem, spectral_abscissa
 from stabmor.errors import (
     FactorizationFailure,
@@ -26,8 +27,14 @@ from stabmor.errors import (
     StepSizeUnderflow,
     UnstableOperand,
 )
+from stabmor.linalg import SNAPSHOT_BLOCK
 from stabmor.nonlinear import NonlinearSystem
-from stabmor.projection import arnoldi_basis, external_basis, galerkin_reduce
+from stabmor.projection import (
+    arnoldi_basis,
+    external_basis,
+    galerkin_reduce,
+    pod_basis,
+)
 
 
 def scalar_lag() -> LinearSystem:
@@ -57,6 +64,22 @@ class TestH2Error:
             h2_error(bad)
         with pytest.raises(UnstableOperand):
             h2_error(scalar_lag(), bad)
+
+    def test_abscissa_computed_once_per_operand(self, monkeypatch):
+        sys = benchgen.gen_msd_chain(masses=4)
+        rom = galerkin_reduce(sys, arnoldi_basis(sys, 3, s0=1.0))
+        calls = []
+
+        def counted(system, config=None):
+            calls.append(system.n)
+            return spectral_abscissa(system)
+
+        monkeypatch.setattr(analysis, "spectral_abscissa", counted)
+        res = h2_error(sys, rom)
+        assert sorted(calls) == [3, 8]
+        expected = 1e3 * max(abs(spectral_abscissa(sys)),
+                             abs(spectral_abscissa(rom.to_system())))
+        assert res.omega_max == expected
 
     def test_quadrature_second_order_convergence(self):
         deltas = []
@@ -219,6 +242,56 @@ class TestAdaptiveIntegrator:
                                (1.0, 1.0))
         with pytest.raises(ValueError):
             integrate_adaptive(scalar_lag(), None, np.ones(2), (0.0, 1.0))
+
+
+def convdiff_harvest(n=100, t1=2.0, config=DEFAULT):
+    sys = benchgen.gen_convection_diffusion(n=n)
+    return integrate_adaptive(sys, make_input("step"), np.zeros(n),
+                              (0.0, t1), harvest_snapshots=True,
+                              config=config)
+
+
+class TestSnapshotHarvest:
+    """Streamed Gram up to svd_gram_max states, raw matrix above it."""
+
+    RAW = DEFAULT.with_(svd_gram_max=50)
+
+    def test_streamed_pod_matches_stacked_stage_matrix(self):
+        streamed = convdiff_harvest()
+        stacked = convdiff_harvest(config=self.RAW)
+        count = 1 + 6 * streamed.stats["steps"]
+        assert count % SNAPSHOT_BLOCK != 0
+        assert streamed.snapshots.shape == (100, count)
+        assert streamed.snapshots.matrix is None
+        matrix = stacked.snapshots.matrix
+        assert stacked.snapshots.shape == matrix.shape == (100, count)
+        # initial state, then six stage states per accepted step, the last
+        # of which is the accepted state itself
+        np.testing.assert_array_equal(matrix[:, ::6].T, streamed.x)
+        got = pod_basis(streamed.snapshots, 8)
+        want = pod_basis(matrix, 8)
+        assert np.abs(got.v - want.v).max() <= 1e-10
+        sg = np.asarray(got.details["singular_values"])
+        sw = np.asarray(want.details["singular_values"])
+        assert np.abs(sg / sw - 1.0).max() <= 1e-10
+
+    def test_gram_memory_does_not_grow_with_steps(self):
+        short = convdiff_harvest(t1=0.5).snapshots
+        long = convdiff_harvest(t1=2.0).snapshots
+        assert long.shape[1] > 2 * SNAPSHOT_BLOCK > short.shape[1]
+        assert short.nbytes == long.nbytes == 100 * 100 * 8
+
+    def test_raw_path_above_gram_threshold_gives_the_same_basis(self):
+        raw = convdiff_harvest(config=self.RAW).snapshots
+        assert raw.gram is None
+        assert raw.nbytes == raw.matrix.nbytes == 8 * 100 * raw.shape[1]
+        # Lanczos on the raw matrix against the dense Gram eigensolve
+        got = pod_basis(raw, 8, config=self.RAW)
+        want = pod_basis(convdiff_harvest().snapshots, 8)
+        assert np.abs(got.v - want.v).max() <= 1e-8
+        sg = np.asarray(got.details["singular_values"])
+        sw = np.asarray(want.details["singular_values"])
+        assert np.abs(sg / sw - 1.0).max() <= 1e-10
 
 
 class TestTrapezoidalIntegrator:

@@ -4,6 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from stabmor.analysis import integrate_adaptive, make_input
+from stabmor.benchgen import gen_convection_diffusion
 from stabmor.dynsys import LinearSystem, spectral_abscissa
 from stabmor.errors import RankDeficient, SingularReducedMass
 from stabmor.projection import (
@@ -151,6 +153,26 @@ class TestPOD:
         col = rng.standard_normal((20, 1))
         with pytest.raises(RankDeficient):
             pod_basis(np.hstack([col, 2 * col, -col]), 2)
+
+    def test_harvest_with_fewer_snapshots_than_r_rejected(self):
+        sys = gen_convection_diffusion(n=100)
+        traj = integrate_adaptive(sys, make_input("step"), np.zeros(100),
+                                  (0.0, 1.0), harvest_snapshots=True,
+                                  fixed_steps=1)
+        assert traj.snapshots.shape == (100, 7)
+        with pytest.raises(ValueError):
+            pod_basis(traj.snapshots, 8)
+
+    def test_rank_deficient_harvest_raises(self):
+        # decoupled modes with only the first excited: rank-one snapshots
+        sys = LinearSystem(np.eye(3), -np.diag([1.0, 2.0, 3.0]),
+                           np.ones((3, 1)), np.ones((1, 3)))
+        traj = integrate_adaptive(sys, make_input("zero"),
+                                  np.array([1.0, 0.0, 0.0]), (0.0, 1.0),
+                                  harvest_snapshots=True)
+        assert pod_basis(traj.snapshots, 1).r == 1
+        with pytest.raises(RankDeficient):
+            pod_basis(traj.snapshots, 2)
 
 
 class TestResidual:
