@@ -397,7 +397,8 @@ def integrate_trapezoidal(system, u, x0, t_span, steps: int,
 
     Linear systems reuse a single factorization of (E - h/2 A); nonlinear
     ones take a Newton iteration per step with the Jacobian refreshed at
-    every iterate.
+    every iterate. E is densified once per nonlinear integration, since the
+    Newton matrix E - h/2 J is factorized densely anyway.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -434,7 +435,7 @@ def integrate_trapezoidal(system, u, x0, t_span, steps: int,
 
     if isinstance(system, (NonlinearSystem, NonlinearROM)):
         rom = isinstance(system, NonlinearROM)
-        e = system.ebar if rom else system.e
+        e = as_dense(system.ebar if rom else system.e)
         f, jac = system.f, system.jac
         b = system.bbar if rom else system.b
         cmat = system.cbar if rom else system.c
@@ -447,13 +448,12 @@ def integrate_trapezoidal(system, u, x0, t_span, steps: int,
             forcing = np.zeros(n)
             if u_fun is not None:
                 forcing = 0.5 * h * (b @ u_fun(times[i]) + b @ u_fun(times[i + 1]))
-            base = as_dense(e @ x) + 0.5 * h * np.asarray(f(x), dtype=float) + forcing
+            base = e @ x + 0.5 * h * np.asarray(f(x), dtype=float) + forcing
             x_new = x.copy()
             for it in range(max_newton):
-                res = as_dense(e @ x_new) - 0.5 * h * np.asarray(f(x_new),
-                                                                 dtype=float) - base
+                res = e @ x_new - 0.5 * h * np.asarray(f(x_new), dtype=float) - base
                 try:
-                    step_lu = lu_factor(as_dense(e) - 0.5 * h * as_dense(jac(x_new)),
+                    step_lu = lu_factor(e - 0.5 * h * as_dense(jac(x_new)),
                                         context="Newton step matrix")
                 except SingularMatrix as exc:
                     raise FactorizationFailure(str(exc)) from exc

@@ -222,6 +222,9 @@ def gen_cubic_msd(masses: int = 4, mass: float = 1.0, stiffness: float = 1.0,
 
     The equilibrium stays at zero and the Jacobian there equals the linear
     chain's system matrix exactly, so gamma = 0 recovers the linear model.
+    The cubic terms only change the diagonal of A's -K block, whose entries
+    are all stored (stiffness > 0), so the Jacobian is a copy of A with m
+    values updated in place; each call returns a new CSR matrix.
     """
     if output_node is None:
         output_node = masses - 1
@@ -231,6 +234,12 @@ def gen_cubic_msd(masses: int = 4, mass: float = 1.0, stiffness: float = 1.0,
     e, a, b, c = _msd_first_order(kmat, dmat, mmat, masses,
                                   input_node, output_node)
     m = masses
+    a.sum_duplicates()  # canonical CSR: sorted indices, one slot per entry
+    rows = np.repeat(np.arange(2 * m), np.diff(a.indptr))
+    slots = np.flatnonzero((rows >= m) & (a.indices == rows - m))
+    if slots.size != m:
+        raise ValueError(f"expected {m} stored entries on the diagonal of the "
+                         f"-K block of A, found {slots.size}")
 
     def f(x):
         out = np.asarray(a @ x).copy()
@@ -238,8 +247,8 @@ def gen_cubic_msd(masses: int = 4, mass: float = 1.0, stiffness: float = 1.0,
         return out
 
     def jac(x):
-        cubic = sp.diags(-3.0 * gamma * x[:m] ** 2).tocsr()
-        zero = sp.csr_matrix((m, m))
-        return a + sp.bmat([[zero, zero], [cubic, zero]], format="csr")
+        out = a.copy()
+        out.data[slots] -= 3.0 * gamma * x[:m] ** 2
+        return out
 
     return NonlinearSystem(e, f, jac, b=b, c=c)

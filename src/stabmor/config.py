@@ -31,7 +31,8 @@ class Tolerances:
     rank_deficient: float = 1e-14
     # thin SVD uses a dense Gram eigensolve up to this side length
     svd_gram_max: int = 1000
-    # accepted relative residual of a dense Lyapunov solve
+    # accepted normwise backward error of a dense Lyapunov solve: residual
+    # over 2 ||A||_F ||M||_F ||E||_F + ||F||_F
     lyap_dense_residual: float = 1e-8
     # low-rank ADI defaults
     lradi_steps: int = 10

@@ -88,11 +88,7 @@ class LUFactorization:
         if np.iscomplexobj(b) and not np.iscomplexobj(np.empty(0, self.dtype)):
             return self.solve(b.real, trans) + 1j * self.solve(b.imag, trans)
         if self.sparse:
-            t = "T" if trans else "N"
-            if b.ndim == 1:
-                return self._splu.solve(b, trans=t)
-            return np.column_stack([self._splu.solve(b[:, j], trans=t)
-                                    for j in range(b.shape[1])])
+            return self._splu.solve(b, trans="T" if trans else "N")
         return sla.lu_solve((self._lu, self._piv), b, trans=1 if trans else 0,
                             check_finite=False)
 

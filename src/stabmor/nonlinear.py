@@ -40,7 +40,9 @@ class NonlinearSystem:
     """Autonomous nonlinear descriptor system E x' = f(x) (+ B u).
 
     ``f`` and ``jac`` are callbacks; ``jac`` must return the n-by-n
-    Jacobian (sparse or dense) of f. The designated equilibrium ``x_star``
+    Jacobian (sparse or dense) of f as a matrix the caller owns: each call
+    returns a new object, which callers may keep or modify without
+    affecting ``f`` or later calls. The designated equilibrium ``x_star``
     is verified at construction. Constant inputs can be folded into f;
     B and C are optional for forced simulation and output extraction.
     """

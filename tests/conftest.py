@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from stabmor import benchgen
 from stabmor.dynsys import LinearSystem
 
 
@@ -41,6 +43,23 @@ def random_stable_system(rng: np.random.Generator, n: int,
     b = rng.standard_normal((n, n_in))
     c = rng.standard_normal((n_out, n))
     return LinearSystem(e, a, b, c)
+
+
+def cubic_msd_block_jacobian(masses: int, gamma: float = 0.5):
+    """Reference Jacobian of ``gen_cubic_msd`` assembled block by block.
+
+    A + [[0, 0], [diag(-3 gamma q^2), 0]] with A the linear chain's matrix,
+    the generator's default mass, stiffness and damping.
+    """
+    a = benchgen.gen_msd_chain(masses=masses).a
+    m = masses
+
+    def jac(x):
+        cubic = sp.diags(-3.0 * gamma * x[:m] ** 2).tocsr()
+        zero = sp.csr_matrix((m, m))
+        return a + sp.bmat([[zero, zero], [cubic, zero]], format="csr")
+
+    return jac
 
 
 def dense_transform(stab) -> np.ndarray:

@@ -28,13 +28,15 @@ from stabmor.errors import (
     UnstableOperand,
 )
 from stabmor.linalg import SNAPSHOT_BLOCK
-from stabmor.nonlinear import NonlinearSystem
+from stabmor.nonlinear import NonlinearSystem, linearize, nonlinear_reduce
 from stabmor.projection import (
     arnoldi_basis,
     external_basis,
     galerkin_reduce,
     pod_basis,
 )
+from stabmor.stabilize import assemble_stabilizer
+from tests.conftest import cubic_msd_block_jacobian
 
 
 def scalar_lag() -> LinearSystem:
@@ -326,6 +328,27 @@ class TestTrapezoidalIntegrator:
         t_nl = integrate_trapezoidal(nl, u, np.zeros(6), (0.0, 4.0),
                                      steps=400)
         assert np.abs(t_lin.y - t_nl.y).max() <= 1e-9
+
+    def test_cubic_chain_matches_the_block_assembled_jacobian(self):
+        # same Newton iteration with the reference Jacobian: the full model
+        # and a stabilized r = 10 model give the same outputs and counts
+        fom = benchgen.gen_cubic_msd(masses=30)
+        ref = NonlinearSystem(fom.e, fom.f, cubic_msd_block_jacobian(30),
+                              b=fom.b, c=fom.c)
+        lin = linearize(fom)
+        stab = assemble_stabilizer(lin, mode="dense")
+        basis = arnoldi_basis(lin, 10)
+        u = make_input("sine", period=4.0)
+        pairs = [(fom, ref, np.zeros(60)),
+                 (nonlinear_reduce(fom, basis, stab),
+                  nonlinear_reduce(ref, basis, stab), np.zeros(10))]
+        for got_sys, want_sys, x0 in pairs:
+            got = integrate_trapezoidal(got_sys, u, x0, (0.0, 10.0), steps=200)
+            want = integrate_trapezoidal(want_sys, u, x0, (0.0, 10.0),
+                                         steps=200)
+            assert np.abs(got.y - want.y).max() <= \
+                1e-12 * np.abs(want.y).max()
+            assert got.stats["stage_count"] == want.stats["stage_count"]
 
     def test_singular_step_matrix_raises(self):
         # h = 1 makes E - h/2 A = 1 - 1 = 0

@@ -15,6 +15,7 @@ from stabmor.dynsys import (
 )
 from stabmor.errors import ResampleExhausted
 from stabmor.nonlinear import finite_difference_jacobian
+from tests.conftest import cubic_msd_block_jacobian
 
 
 class TestMsdChain:
@@ -200,6 +201,33 @@ class TestCubicMsd:
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
             benchgen.gen_cubic_msd(masses=3, gamma=-0.1)
+
+    def test_jacobian_equals_the_block_assembly(self, rng):
+        nl = benchgen.gen_cubic_msd(masses=30)
+        ref = cubic_msd_block_jacobian(30)
+        for scale in (0.1, 1.0, 3.0):
+            x = scale * rng.standard_normal(60)
+            j = nl.jac(x)
+            assert j.format == "csr"
+            assert np.array_equal(j.toarray(), ref(x).toarray())
+            fd = finite_difference_jacobian(nl.f, x)
+            assert np.linalg.norm(fd - j.toarray()) <= \
+                1e-6 * max(1.0, np.linalg.norm(j.toarray()))
+
+    def test_jacobian_calls_return_independent_matrices(self, rng):
+        nl = benchgen.gen_cubic_msd(masses=30)
+        x, y = rng.standard_normal(60), rng.standard_normal(60)
+        want_j, want_f = nl.jac(x).toarray(), nl.f(y)
+        first, second = nl.jac(x), nl.jac(x)
+        for name in ("data", "indices", "indptr"):
+            assert not np.shares_memory(getattr(first, name),
+                                        getattr(second, name))
+        first.data[:] = 7.0
+        first.indices[:] = 0
+        first.indptr[:] = 0
+        second.data *= -1.0
+        assert np.array_equal(nl.jac(x).toarray(), want_j)
+        assert np.array_equal(nl.f(y), want_f)
 
 
 class TestGlobalInvariants:

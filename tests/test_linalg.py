@@ -47,6 +47,21 @@ class TestLU:
         x_dense = lu_factor(as_dense(a)).solve(b)
         assert np.allclose(x_sparse, x_dense, atol=1e-12)
 
+    def test_sparse_block_solve_matches_column_solves(self, rng):
+        n = 60
+        a = (sp.random(n, n, density=0.1, random_state=3, format="csr")
+             + sp.diags(np.full(n, 4.0)))
+        lu = lu_factor(a)
+        b = rng.standard_normal((n, 5))
+        for trans in (False, True):
+            block = lu.solve(b, trans=trans)
+            cols = np.column_stack([lu.solve(b[:, j], trans=trans)
+                                    for j in range(b.shape[1])])
+            assert np.abs(block - cols).max() <= 1e-14 * np.abs(cols).max()
+        z = b + 1j * rng.standard_normal((n, 5))
+        x = lu.solve(z)
+        assert np.allclose(a @ x, z, atol=1e-10)
+
     def test_complex_rhs_with_real_factorization(self, rng):
         a = rng.standard_normal((15, 15)) + 4 * np.eye(15)
         b = rng.standard_normal(15) + 1j * rng.standard_normal(15)

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from stabmor import benchgen
+from stabmor import benchgen, stabilize
 from stabmor.config import DEFAULT
 from stabmor.dynsys import LinearSystem, spectral_abscissa
 from stabmor.errors import (
@@ -147,6 +147,35 @@ class TestDenseLyapunov:
     def test_unstable_pencil_rejected(self):
         with pytest.raises(UnstablePencil):
             solve_lyapunov_dense(np.diag([1.0, -1.0]), np.eye(2), np.eye(2))
+
+    def test_large_accurate_solution_accepted(self):
+        # ||M||_2 ~ 4e7 against ||F|| ~ 25: the residual 3e-7 is a backward
+        # error near 1e-17, and must not be judged against ||F|| alone
+        sys = benchgen.gen_msd_chain(masses=150)
+        stab = assemble_stabilizer(sys, mode="dense")
+        assert stab.mode == "dense" and stab.q > 0
+        f = stab.u_tilde @ stab.u_tilde.T
+        m = solve_lyapunov_dense(sys.a, sys.e, f)
+        assert lyapunov_residual(sys.a, sys.e, m, f) > 1e-8 * np.linalg.norm(f)
+
+    def test_perturbed_solution_rejected(self, rng, monkeypatch):
+        # E = I, so the standard-form solution N is M itself
+        sys = benchgen.gen_msd_chain(masses=4)
+        f = build_stab_factor_F(sys, delta=1.0).u_tilde
+        f = f @ f.T
+        exact = sla.solve_continuous_lyapunov
+        g = rng.standard_normal((8, 8))
+        g = g + g.T
+
+        def perturbed(a, q):
+            n = exact(a, q)
+            return n + 1e-6 * np.linalg.norm(n) / np.linalg.norm(g) * g
+
+        solve_lyapunov_dense(sys.a, sys.e, f)
+        monkeypatch.setattr(stabilize.sla, "solve_continuous_lyapunov",
+                            perturbed)
+        with pytest.raises(StabmorError, match="exceeds tolerance"):
+            solve_lyapunov_dense(sys.a, sys.e, f)
 
     def test_nonsymmetric_rhs_rejected(self):
         with pytest.raises(ValueError):
