@@ -10,12 +10,16 @@ logarithmic frequency grid; every value is returned together with its
 half-resolution estimate so quadrature convergence can be reported.
 
 Time integration offers an embedded Dormand-Prince 5(4) pair with PI step
-control and a fixed-step trapezoidal rule. The Dormand-Prince integrator can
-harvest every internal stage state as a POD snapshot. Up to
-``config.svd_gram_max`` states the harvest keeps only the n-by-n Gram
-matrix of the snapshots, accumulated block by block (O(n^2) memory); above
-it, it keeps the raw n-by-count snapshot matrix (O(n count)), which the
-Lanczos path of the thin SVD needs (see ``linalg.Snapshots``).
+control and a fixed-step trapezoidal rule. Both cost what their arithmetic
+costs on sparse models: a sparse diagonal mass matrix is divided out
+(``LinearSystem.solve_e``), the trapezoid factorizes E - h/2 A in the
+format of E and A, and each integrator holds its state history once, in
+preallocated rows. The Dormand-Prince integrator can harvest every internal
+stage state as a POD snapshot. Up to ``config.svd_gram_max`` states the
+harvest keeps only the n-by-n Gram matrix of the snapshots, accumulated
+block by block (O(n^2) memory); above it, it keeps the raw n-by-count
+snapshot matrix (O(n count)), which the Lanczos path of the thin SVD needs
+(see ``linalg.Snapshots``).
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .config import DEFAULT, Tolerances
 from .dynsys import LinearSystem, TransferFunction, spectral_abscissa
@@ -207,21 +212,33 @@ def bode_data(system, omega_min: float, omega_max: float,
     return rows
 
 
-@dataclass
 class Trajectory:
-    """Time grid, states, outputs, and integrator statistics of one run."""
+    """Time grid, states, outputs, and integrator statistics of one run.
 
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    stats: dict
-    snapshots: Snapshots | None = None
+    ``x`` is given as an array, or as a list of row blocks (the adaptive
+    integrator's form), which are joined into one array when ``x`` is
+    first read; callers that never read ``x`` never pay for the copy.
+    """
 
-    def __post_init__(self):
-        if np.any(np.diff(self.t) <= 0.0):
+    def __init__(self, t, x, y, stats: dict,
+                 snapshots: Snapshots | None = None):
+        rows = (x.shape[0] if isinstance(x, np.ndarray)
+                else sum(block.shape[0] for block in x))
+        if np.any(np.diff(t) <= 0.0):
             raise ValueError("time points must be strictly increasing")
-        if self.x.shape[0] != self.t.size or self.y.shape[0] != self.t.size:
+        if rows != t.size or y.shape[0] != t.size:
             raise ValueError("state/output sample counts must match the grid")
+        self.t = t
+        self._x = x
+        self.y = y
+        self.stats = stats
+        self.snapshots = snapshots
+
+    @property
+    def x(self) -> np.ndarray:
+        if not isinstance(self._x, np.ndarray):
+            self._x = np.concatenate(self._x)
+        return self._x
 
 
 def _normalize_input(u, n_in: int):
@@ -235,8 +252,16 @@ def _normalize_input(u, n_in: int):
     return u_fun
 
 
+def _output_map(c):
+    """Outputs of a block of state rows: rows @ C^T (none without C)."""
+    if c is None:
+        return lambda xs: np.zeros((xs.shape[0], 0))
+    return lambda xs: xs @ c.T
+
+
 def _prepare_system(system, u):
-    """Uniform access: E-solve, right-hand side f(t, x), output map."""
+    """Uniform access: right-hand side f(t, x) and the output map of
+    :func:`_output_map`."""
     if isinstance(system, ReducedSystem):
         system = system.to_system()
     if isinstance(system, LinearSystem):
@@ -246,9 +271,7 @@ def _prepare_system(system, u):
             if u_fun is not None:
                 r = r + system.b @ u_fun(t)
             return system.solve_e(r)
-        def out(x):
-            return system.c @ x
-        return system.n, rhs, out
+        return system.n, rhs, _output_map(system.c)
     if isinstance(system, NonlinearSystem):
         u_fun = _normalize_input(u, system.n_in)
         def rhs(t, x):
@@ -256,9 +279,7 @@ def _prepare_system(system, u):
             if u_fun is not None:
                 r = r + system.b @ u_fun(t)
             return system.solve_e(r)
-        def out(x):
-            return system.c @ x if system.c is not None else np.zeros(0)
-        return system.n, rhs, out
+        return system.n, rhs, _output_map(system.c)
     if isinstance(system, NonlinearROM):
         e_lu = lu_factor(system.ebar, context="reduced mass matrix")
         n_in = 0 if system.bbar is None else system.bbar.shape[1]
@@ -268,9 +289,7 @@ def _prepare_system(system, u):
             if u_fun is not None:
                 r = r + system.bbar @ u_fun(t)
             return e_lu.solve(r)
-        def out(x):
-            return system.cbar @ x if system.cbar is not None else np.zeros(0)
-        return system.r, rhs, out
+        return system.r, rhs, _output_map(system.cbar)
     raise TypeError(f"cannot integrate objects of type {type(system).__name__}")
 
 
@@ -289,6 +308,8 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
                    11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
+# accepted states per row block of the adaptive integrator's history
+_HISTORY_BLOCK = 1024
 
 
 def _initial_step(rhs, t0, x0, f0, rtol, atol, span):
@@ -320,6 +341,11 @@ def integrate_adaptive(system, u, x0, t_span, rtol: float = 1e-6,
     :class:`~stabmor.linalg.Snapshots` of shape ``(n, count)``. For
     n <= ``config.svd_gram_max`` it holds only their n-by-n Gram matrix,
     whatever the step count; above, it holds the raw n-by-count matrix.
+
+    Accepted states are written into row blocks of fixed size, whose
+    outputs are computed as each block fills, so the state history is held
+    once. ``Trajectory.x`` joins the blocks on its first read; a caller
+    that only harvests snapshots never pays for that copy.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -334,7 +360,10 @@ def integrate_adaptive(system, u, x0, t_span, rtol: float = 1e-6,
     stages = 1
     h = span / fixed_steps if fixed_steps else _initial_step(
         rhs, t0, x, f_now, rtol, atol, span)
-    ts, xs = [t0], [x.copy()]
+    ts, blocks, ys = [t0], [], []
+    block = np.empty((_HISTORY_BLOCK, n))
+    block[0] = x
+    fill = 1
     snaps = Snapshots(n, config) if harvest_snapshots else None
     if harvest_snapshots:
         snaps.append(x)
@@ -369,7 +398,13 @@ def integrate_adaptive(system, u, x0, t_span, rtol: float = 1e-6,
             x = x5
             f_now = k[6]  # FSAL: last stage sits at the new point
             ts.append(t)
-            xs.append(x.copy())
+            if fill == _HISTORY_BLOCK:
+                blocks.append(block)
+                ys.append(out(block))
+                block = np.empty((_HISTORY_BLOCK, n))
+                fill = 0
+            block[fill] = x
+            fill += 1
             if harvest_snapshots:
                 for xi in stage_states[:-1]:  # the last stage equals x5
                     snaps.append(xi)
@@ -383,11 +418,23 @@ def integrate_adaptive(system, u, x0, t_span, rtol: float = 1e-6,
         else:
             rejected += 1
             h *= min(1.0, max(0.1, 0.9 * err ** -0.2))
-    xs = np.asarray(xs)
-    ys = np.asarray([out(row) for row in xs])
+    blocks.append(block[:fill])
+    ys.append(out(block[:fill]))
     stats = {"steps": steps, "rejected_steps": rejected, "stage_count": stages}
-    return Trajectory(t=np.asarray(ts), x=xs, y=ys, stats=stats,
+    return Trajectory(t=np.asarray(ts), x=blocks, y=np.concatenate(ys),
+                      stats=stats,
                       snapshots=snaps.close() if harvest_snapshots else None)
+
+
+def _trapezoid_forcing(b, u_fun, times, h) -> np.ndarray | None:
+    """Input term h/2 B (u(t_i) + u(t_i+1)) of every step, one row per step.
+
+    The input is evaluated once per grid point; None without an input.
+    """
+    if u_fun is None:
+        return None
+    bu = np.asarray([b @ u_fun(t) for t in times])
+    return 0.5 * h * (bu[:-1] + bu[1:])
 
 
 def integrate_trapezoidal(system, u, x0, t_span, steps: int,
@@ -395,10 +442,18 @@ def integrate_trapezoidal(system, u, x0, t_span, steps: int,
                           max_newton: int = 25) -> Trajectory:
     """Fixed-step trapezoidal rule.
 
-    Linear systems reuse a single factorization of (E - h/2 A); nonlinear
-    ones take a Newton iteration per step with the Jacobian refreshed at
-    every iterate. E is densified once per nonlinear integration, since the
-    Newton matrix E - h/2 J is factorized densely anyway.
+    The input is evaluated once per grid point, and the states are written
+    into one preallocated (steps + 1)-by-n array. Linear systems factorize
+    E - h/2 A once, in the format E and A come in. When both are sparse,
+    every step multiplies by E + h/2 A (formed once) and solves with the
+    SuperLU factors, so time and memory stay O(nnz) per step. Otherwise
+    (every reduced model) they are densified, and each step solves with
+    E x + h/2 (A x) plus the input term by LAPACK.
+
+    Nonlinear systems take a Newton iteration per step with the Jacobian
+    refreshed at every iterate. E is densified once per nonlinear
+    integration, since the Newton matrix E - h/2 J is factorized densely
+    anyway.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -411,25 +466,39 @@ def integrate_trapezoidal(system, u, x0, t_span, steps: int,
     if isinstance(system, ReducedSystem):
         system = system.to_system()
 
-    if isinstance(system, (LinearSystem,)):
-        u_fun = _normalize_input(u, system.n_in)
-        x = np.asarray(x0, dtype=float).copy()
+    if isinstance(system, LinearSystem):
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (system.n,):
+            raise ValueError(f"x0 must have length {system.n}")
+        e, a = system.e, system.a
+        if sp.issparse(e) and sp.issparse(a):
+            fwd = (e + 0.5 * h * a).tocsr()
+            def explicit_half(x):
+                return fwd @ x
+        else:
+            e, a = as_dense(e), as_dense(a)
+            def explicit_half(x):
+                # E x + h/2 (A x), rounded as the dense step always was; the
+                # in-place updates only save temporaries
+                r = e @ x
+                ax = a @ x
+                ax *= 0.5 * h
+                r += ax
+                return r
         try:
-            lhs = lu_factor(as_dense(system.e) - 0.5 * h * as_dense(system.a),
-                            context="trapezoidal step matrix")
+            lhs = lu_factor(e - 0.5 * h * a, context="trapezoidal step matrix")
         except SingularMatrix as exc:
             raise FactorizationFailure(str(exc)) from exc
-        xs = [x.copy()]
+        forcing = _trapezoid_forcing(system.b, _normalize_input(u, system.n_in),
+                                     times, h)
+        xs = np.empty((steps + 1, system.n))
+        xs[0] = x0
         for i in range(steps):
-            rhs_vec = as_dense(system.e @ x) + 0.5 * h * as_dense(system.a @ x)
-            if u_fun is not None:
-                rhs_vec = rhs_vec + 0.5 * h * (system.b @ u_fun(times[i])
-                                               + system.b @ u_fun(times[i + 1]))
-            x = lhs.solve(rhs_vec)
-            xs.append(x.copy())
-        xs = np.asarray(xs)
-        ys = xs @ system.c.T
-        return Trajectory(t=times, x=xs, y=ys,
+            r = explicit_half(xs[i])
+            if forcing is not None:
+                r += forcing[i]
+            xs[i + 1] = lhs.solve(r)
+        return Trajectory(t=times, x=xs, y=xs @ system.c.T,
                           stats={"steps": steps, "rejected_steps": 0,
                                  "stage_count": steps})
 
@@ -440,15 +509,16 @@ def integrate_trapezoidal(system, u, x0, t_span, steps: int,
         b = system.bbar if rom else system.b
         cmat = system.cbar if rom else system.c
         n = system.r if rom else system.n
-        u_fun = _normalize_input(u, 0 if b is None else b.shape[1])
+        forcing = _trapezoid_forcing(
+            b, _normalize_input(u, 0 if b is None else b.shape[1]), times, h)
         x = np.asarray(x0, dtype=float).copy()
-        xs = [x.copy()]
+        xs = np.empty((steps + 1, n))
+        xs[0] = x
         newton_total = 0
         for i in range(steps):
-            forcing = np.zeros(n)
-            if u_fun is not None:
-                forcing = 0.5 * h * (b @ u_fun(times[i]) + b @ u_fun(times[i + 1]))
-            base = e @ x + 0.5 * h * np.asarray(f(x), dtype=float) + forcing
+            base = e @ x + 0.5 * h * np.asarray(f(x), dtype=float)
+            if forcing is not None:
+                base = base + forcing[i]
             x_new = x.copy()
             for it in range(max_newton):
                 res = e @ x_new - 0.5 * h * np.asarray(f(x_new), dtype=float) - base
@@ -466,8 +536,7 @@ def integrate_trapezoidal(system, u, x0, t_span, steps: int,
                 raise ConvergenceFailure(
                     f"Newton iteration stalled at t = {times[i + 1]:.6e}")
             x = x_new
-            xs.append(x.copy())
-        xs = np.asarray(xs)
+            xs[i + 1] = x
         ys = (xs @ cmat.T if cmat is not None
               else np.zeros((steps + 1, 0)))
         return Trajectory(t=times, x=xs, y=ys,

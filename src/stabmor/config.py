@@ -32,8 +32,10 @@ class Tolerances:
     # thin SVD uses a dense Gram eigensolve up to this side length
     svd_gram_max: int = 1000
     # accepted normwise backward error of a dense Lyapunov solve: residual
-    # over 2 ||A||_F ||M||_F ||E||_F + ||F||_F
-    lyap_dense_residual: float = 1e-8
+    # over 2 ||A||_F ||M||_F ||E||_F + ||F||_F. Correct solves measure
+    # 5e-18 to 5e-17; a symmetric error of relative size 1e-6 in M gives
+    # about 2.5e-9 at n = 300, so the check needs a bound well below that
+    lyap_dense_residual: float = 1e-12
     # low-rank ADI defaults
     lradi_steps: int = 10
     lradi_residual: float = 1e-8

@@ -15,6 +15,7 @@ with E non-singular. Stability language used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 from dataclasses import dataclass
@@ -61,6 +62,24 @@ def _looks_identity(e) -> bool:
     return bool(np.array_equal(as_dense(e), np.eye(e.shape[0])))
 
 
+def _sparse_diagonal(e) -> np.ndarray | None:
+    """The diagonal of a real sparse matrix with no entry stored off it.
+
+    Read from the compressed structure (one stored entry per row, each in
+    its own column), so the test costs O(n) and no arithmetic; any other
+    matrix gives None.
+    """
+    if not sp.issparse(e) or np.iscomplexobj(e.data):
+        return None
+    if e.format not in ("csr", "csc"):
+        e = e.tocsr()
+    n = e.shape[0]
+    if e.nnz != n or not (np.array_equal(e.indptr, np.arange(n + 1))
+                          and np.array_equal(e.indices, np.arange(n))):
+        return None
+    return e.data
+
+
 class LinearSystem:
     """Immutable descriptor system (E, A, B, C).
 
@@ -104,13 +123,35 @@ class LinearSystem:
             return self.a.T @ x
         return self.a.T @ x
 
+    @functools.cached_property
+    def _e_diagonal(self) -> np.ndarray | None:
+        return _sparse_diagonal(self.e)
+
+    def _solve(self, x, trans: bool):
+        d = self._e_diagonal
+        if d is not None:
+            x = np.asarray(x)
+            if x.shape[:1] == d.shape and not np.iscomplexobj(x):
+                if x.ndim == 1:
+                    return x / d
+                if x.ndim == 2:
+                    return x / d[:, None]
+        return self.e_lu.solve(x, trans=trans)
+
     def solve_e(self, x):
-        """E^{-1} x."""
-        return self.e_lu.solve(x)
+        """E^{-1} x for a vector or a matrix of columns.
+
+        A sparse diagonal E (recognised on the first solve, from its stored
+        structure) is divided out row by row. That is the one operation
+        SuperLU performs with a diagonal factor, so the result is bitwise
+        the same, without SuperLU's cost per call. Other mass matrices and
+        complex right-hand sides are solved with the LU factors of E.
+        """
+        return self._solve(x, trans=False)
 
     def solve_et(self, x):
-        """E^{-T} x."""
-        return self.e_lu.solve(x, trans=True)
+        """E^{-T} x; see :meth:`solve_e`."""
+        return self._solve(x, trans=True)
 
     def sym_part_matvec(self, v):
         """Apply the symmetric part E^{-1}A + A^T E^{-T} to a vector."""

@@ -81,16 +81,26 @@ class LUFactorization:
                 warnings.simplefilter("ignore", sla.LinAlgWarning)
                 self._lu, self._piv = sla.lu_factor(m, check_finite=False)
             _check_pivots(np.diag(self._lu), context)
+            # the LAPACK routine lu_solve calls, looked up once
+            self._getrs, = sla.get_lapack_funcs(("getrs",), (self._lu,))
         self.dtype = (self._splu.U.dtype if self.sparse else self._lu.dtype)
 
     def solve(self, b, trans: bool = False):
         b = np.asarray(b)
-        if np.iscomplexobj(b) and not np.iscomplexobj(np.empty(0, self.dtype)):
+        if np.iscomplexobj(b) and self.dtype.kind != "c":
             return self.solve(b.real, trans) + 1j * self.solve(b.imag, trans)
         if self.sparse:
             return self._splu.solve(b, trans="T" if trans else "N")
-        return sla.lu_solve((self._lu, self._piv), b, trans=1 if trans else 0,
-                            check_finite=False)
+        if b.ndim not in (1, 2) or b.shape[0] != self.shape[0] or b.size == 0:
+            # scipy's handling of empty, batched and mismatched inputs
+            return sla.lu_solve((self._lu, self._piv), b,
+                                trans=1 if trans else 0, check_finite=False)
+        # getrs directly: the same solve without lu_solve's cost per call,
+        # which dominates the small systems solved once per time step
+        x, info = self._getrs(self._lu, self._piv, b, trans=1 if trans else 0)
+        if info != 0:
+            raise ValueError(f"getrs: illegal value in argument {-info}")
+        return x
 
 
 def lu_factor(m, context: str = "lu_factor") -> LUFactorization:

@@ -79,13 +79,15 @@ class StabFactorRHS:
 
     ``u_tilde`` is sqrt(mu_max + delta) times the orthonormal eigenvectors
     of the k non-negative eigenvalues of the symmetric part. ``delta`` is
-    the effective shift after the inexact-eigensolve safeguard.
+    the effective shift after the inexact-eigensolve safeguard, and
+    ``mu_next`` the largest eigenvalue counted negative, mu_{k+1}.
     """
 
     u_tilde: np.ndarray
     k: int
     mu_max: float
     delta: float
+    mu_next: float
 
 
 def _nonnegative_eigenpairs(sys: LinearSystem, config: Tolerances, seed: int):
@@ -131,8 +133,10 @@ def build_stab_factor_F(sys: LinearSystem, delta: float | None = None,
     mu_max = float(max(rayleigh.max(), frag.mu_max))
     delta_eff = float(delta + residuals.max())
     u_tilde = np.sqrt(mu_max + delta_eff) * u
+    mu_next = (float(frag.values[frag.k]) if frag.k < frag.values.size
+               else -np.inf)
     return StabFactorRHS(u_tilde=u_tilde, k=frag.k, mu_max=mu_max,
-                         delta=delta_eff)
+                         delta=delta_eff, mu_next=mu_next)
 
 
 def dense_symmetric_part(sys: LinearSystem) -> np.ndarray:
@@ -354,6 +358,13 @@ class StabilizerFactor:
     Applied factor-wise only; the n-by-n matrix is never formed. ``k = 0``
     (dissipative system) is represented by an empty Z, so the
     transformation degenerates to E^{-T}E^{-1}.
+
+    A truncated factor leaves the residual A^T Z Z^T E + E^T Z Z^T A +
+    Ut Ut^T = W W^T. ``residual_norm`` is ||W||_2^2 (0 for an exact dense
+    solve) and ``certificate_bound`` is min(delta, |mu_{k+1}|), a lower
+    bound on the smallest eigenvalue of F. The factor is ``certified``
+    when the first is below the second: every reduced model is then
+    asymptotically stable.
     """
 
     sys: LinearSystem
@@ -364,10 +375,16 @@ class StabilizerFactor:
     mu_max: float
     mode: str
     residual_history: tuple
+    residual_norm: float = 0.0
+    certificate_bound: float = np.inf
 
     @property
     def q(self) -> int:
         return self.z.shape[1]
+
+    @property
+    def certified(self) -> bool:
+        return bool(self.residual_norm < self.certificate_bound)
 
     @property
     def identity_mass(self) -> bool:
@@ -395,7 +412,10 @@ def assemble_stabilizer(sys: LinearSystem, delta: float | None = None,
     mode "auto" picks the dense correction solve when the detected k
     exceeds the configured fraction of n (low-rank ADI would not pay off)
     and LR-ADI otherwise; "dense" and "lradi" force the choice. A
-    dissipative system yields an empty factor.
+    dissipative system yields an empty factor. An LR-ADI factor that
+    stops short of its certificate (see :class:`StabilizerFactor`) is
+    returned with a warning; the stability of each reduced model is then
+    only checked a posteriori.
     """
     if mode not in ("auto", "dense", "lradi"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -408,7 +428,9 @@ def assemble_stabilizer(sys: LinearSystem, delta: float | None = None,
         return StabilizerFactor(sys=sys, z=np.zeros((sys.n, 0)),
                                 u_tilde=np.zeros((sys.n, 0)), delta=delta,
                                 k=0, mu_max=frag.mu_max, mode="none",
-                                residual_history=(0.0,))
+                                residual_history=(0.0,),
+                                certificate_bound=min(delta,
+                                                      abs(frag.mu_max)))
     if mode == "auto":
         mode = "dense" if rhs.k > config.lradi_rank_fraction * sys.n else "lradi"
     if mode == "dense":
@@ -421,9 +443,24 @@ def assemble_stabilizer(sys: LinearSystem, delta: float | None = None,
                                        steps=steps, shifts=shifts,
                                        config=config, seed=seed)
         history = tuple(hist)
-    return StabilizerFactor(sys=sys, z=z, u_tilde=rhs.u_tilde,
+    # the ADI history is relative to ||Ut^T Ut||_2 = ||Ut Ut^T||_2
+    residual_norm = history[-1] * float(
+        np.linalg.norm(rhs.u_tilde.T @ rhs.u_tilde, 2))
+    stab = StabilizerFactor(sys=sys, z=z, u_tilde=rhs.u_tilde,
                             delta=rhs.delta, k=rhs.k, mu_max=rhs.mu_max,
-                            mode=mode, residual_history=history)
+                            mode=mode, residual_history=history,
+                            residual_norm=residual_norm,
+                            certificate_bound=min(rhs.delta,
+                                                  abs(rhs.mu_next)))
+    if not stab.certified:
+        warnings.warn(
+            f"LR-ADI factor is not certified after {len(history) - 1} "
+            f"recorded iterations: "
+            f"||W||_2^2 = {stab.residual_norm:.3e} >= min(delta, |mu_k+1|) "
+            f"= {stab.certificate_bound:.3e}; reduced models are only "
+            f"checked a posteriori, increase the ADI step count or shifts",
+            stacklevel=2)
+    return stab
 
 
 def stabilized_reduce(sys: LinearSystem, basis: ProjectionBasis,
@@ -557,7 +594,10 @@ def save_stabilizer(stab: StabilizerFactor, directory) -> None:
     manifest = {"delta": stab.delta, "k": stab.k, "mu_max": stab.mu_max,
                 "q": stab.q, "mode": stab.mode,
                 "adi_steps": max(len(stab.residual_history) - 1, 0),
-                "residual_history": list(stab.residual_history)}
+                "residual_history": list(stab.residual_history),
+                "residual_norm": stab.residual_norm,
+                "certificate_bound": stab.certificate_bound,
+                "certified": stab.certified}
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
@@ -574,4 +614,8 @@ def load_stabilizer(directory, sys: LinearSystem) -> StabilizerFactor:
     return StabilizerFactor(sys=sys, z=z, u_tilde=u_tilde,
                             delta=manifest["delta"], k=manifest["k"],
                             mu_max=manifest["mu_max"], mode=manifest["mode"],
-                            residual_history=tuple(manifest["residual_history"]))
+                            residual_history=tuple(manifest["residual_history"]),
+                            # a manifest without a certificate is uncertified
+                            residual_norm=manifest.get("residual_norm", np.nan),
+                            certificate_bound=manifest.get("certificate_bound",
+                                                           np.nan))

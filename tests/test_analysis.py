@@ -1,8 +1,12 @@
 """Frequency-domain error measures, integrators, and CSV output."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from stabmor import analysis, benchgen
 from stabmor.analysis import (
@@ -27,7 +31,7 @@ from stabmor.errors import (
     StepSizeUnderflow,
     UnstableOperand,
 )
-from stabmor.linalg import SNAPSHOT_BLOCK
+from stabmor.linalg import SNAPSHOT_BLOCK, as_dense
 from stabmor.nonlinear import NonlinearSystem, linearize, nonlinear_reduce
 from stabmor.projection import (
     arnoldi_basis,
@@ -35,7 +39,7 @@ from stabmor.projection import (
     galerkin_reduce,
     pod_basis,
 )
-from stabmor.stabilize import assemble_stabilizer
+from stabmor.stabilize import assemble_stabilizer, stabilized_reduce
 from tests.conftest import cubic_msd_block_jacobian
 
 
@@ -294,6 +298,112 @@ class TestSnapshotHarvest:
         sg = np.asarray(got.details["singular_values"])
         sw = np.asarray(want.details["singular_values"])
         assert np.abs(sg / sw - 1.0).max() <= 1e-10
+
+    def test_history_held_once_when_x_is_not_read(self):
+        n = 100
+        sys = benchgen.gen_convection_diffusion(n=n)
+        tracemalloc.start()
+        try:
+            traj = integrate_adaptive(sys, make_input("step"), np.zeros(n),
+                                      (0.0, 6.0), harvest_snapshots=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        history = 8 * n * (traj.stats["steps"] + 1)
+        block = 8 * n * SNAPSHOT_BLOCK
+        assert history > 2 * block
+        # one copy of the history, plus the snapshot and history buffers and
+        # the Gram; a list of states copied into an array holds it twice
+        assert peak - history <= 3 * block
+
+    def test_x_is_joined_once(self):
+        traj = convdiff_harvest()
+        x = traj.x
+        assert traj.x is x
+        assert x.shape == (traj.t.size, 100) and x.flags.c_contiguous
+        c = benchgen.gen_convection_diffusion(n=100).c
+        np.testing.assert_array_equal(traj.y, x @ c.T)
+
+
+def dense_trapezoid_reference(sys, u, x0, t1, steps):
+    """Outputs of the dense trapezoid step: one dense LU of E - h/2 A, then
+    a solve with (E + h/2 A) x + h/2 B (u(t_i) + u(t_i+1)) at every step."""
+    h = t1 / steps
+    e, a = as_dense(sys.e), as_dense(sys.a)
+    lu = sla.lu_factor(e - 0.5 * h * a)
+    xs = [np.array(x0, dtype=float)]
+    for i in range(steps):
+        x = xs[-1]
+        forcing = sys.b @ np.atleast_1d(u(i * h)) \
+            + sys.b @ np.atleast_1d(u((i + 1) * h))
+        xs.append(sla.lu_solve(lu, e @ x + 0.5 * h * (a @ x)
+                               + 0.5 * h * forcing))
+    return np.asarray(xs) @ sys.c.T
+
+
+def consistent_mass_convdiff(n):
+    """Convection-diffusion with a non-diagonal (tridiagonal) sparse E."""
+    sys = benchgen.gen_convection_diffusion(n=n)
+    w = sys.e.diagonal()
+    off = 0.1 * np.minimum(w[:-1], w[1:])
+    e = (sys.e + sp.diags([off, off], [-1, 1])).tocsr()
+    return LinearSystem(e, sys.a, sys.b, sys.c)
+
+
+def relative_gap(got, want) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestLinearTrapezoid:
+    """The sparse and dense steps against the dense step's reference."""
+
+    def test_sparse_system_matches_dense_step(self):
+        sys = benchgen.gen_convection_diffusion(n=400)
+        u = make_input("step")
+        traj = integrate_trapezoidal(sys, u, np.zeros(400), (0.0, 2.0),
+                                     steps=1000)
+        want = dense_trapezoid_reference(sys, u, np.zeros(400), 2.0, 1000)
+        assert relative_gap(traj.y, want) <= 1e-11
+        assert traj.x.shape == (1001, 400)
+
+    def test_dense_rom_matches_dense_step(self):
+        fom = benchgen.gen_msd_chain(masses=30)
+        rom = stabilized_reduce(fom, arnoldi_basis(fom, 8),
+                                assemble_stabilizer(fom, mode="dense"))
+        u = make_input("sine", period=2.0)
+        traj = integrate_trapezoidal(rom, u, np.zeros(8), (0.0, 10.0),
+                                     steps=1000)
+        want = dense_trapezoid_reference(rom.to_system(), u, np.zeros(8),
+                                         10.0, 1000)
+        # dense systems keep the dense step's arithmetic, so reduced models
+        # integrate exactly as before
+        np.testing.assert_array_equal(traj.y, want)
+
+    def test_non_diagonal_sparse_mass(self):
+        sys = consistent_mass_convdiff(100)
+        assert sys._e_diagonal is None
+        u = make_input("sine", period=0.5)
+        traj = integrate_trapezoidal(sys, u, np.zeros(100), (0.0, 2.0),
+                                     steps=500)
+        want = dense_trapezoid_reference(sys, u, np.zeros(100), 2.0, 500)
+        assert relative_gap(traj.y, want) <= 1e-11
+
+    def test_non_diagonal_sparse_mass_in_dp5(self):
+        sparse = consistent_mass_convdiff(60)
+        dense = LinearSystem(sparse.e.toarray(), sparse.a.toarray(),
+                             sparse.b, sparse.c)
+        u = make_input("step")
+        got = integrate_adaptive(sparse, u, np.zeros(60), (0.0, 1.0))
+        want = integrate_adaptive(dense, u, np.zeros(60), (0.0, 1.0))
+        # SuperLU and dense LU round differently, which moves the step
+        # sizes; both runs end in the same state to the integration tolerance
+        assert got.t[-1] == want.t[-1] == 1.0
+        assert relative_gap(got.x[-1], want.x[-1]) <= 1e-6
+
+    def test_wrong_initial_state_length_raises(self):
+        with pytest.raises(ValueError):
+            integrate_trapezoidal(benchgen.gen_convection_diffusion(n=10),
+                                  None, np.zeros(1), (0.0, 1.0), steps=10)
 
 
 class TestTrapezoidalIntegrator:

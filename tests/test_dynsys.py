@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabmor.config import DEFAULT
+from stabmor.linalg import as_dense
 from stabmor.errors import DenseCapExceeded, PoleHit, SingularE
 from stabmor.dynsys import (
     LinearSystem,
@@ -61,6 +62,59 @@ class TestConstruction:
         g = np.linalg.solve(e, a)
         g = g + g.T
         assert np.allclose(sys.sym_part_matvec(v), g @ v, atol=1e-9)
+
+
+class TestDiagonalMassSolve:
+    """A sparse diagonal E is divided out, bitwise as the LU solve."""
+
+    def system(self, e):
+        n = e.shape[0]
+        return LinearSystem(e, -sp.identity(n, format="csr"),
+                            np.ones((n, 1)), np.ones((1, n)))
+
+    def test_bitwise_equal_to_lu_solve(self, rng):
+        n = 200
+        sys = self.system(sp.diags(10.0 ** rng.uniform(-6, 6, n),
+                                   format="csr"))
+        assert sys._e_diagonal is not None
+        # right-hand sides spanning 16 decades, 1-D and 2-D
+        for x in (rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n),
+                  rng.standard_normal((n, 5))
+                  * 10.0 ** rng.uniform(-8, 8, (n, 5))):
+            np.testing.assert_array_equal(sys.solve_e(x), sys.e_lu.solve(x))
+            np.testing.assert_array_equal(sys.solve_et(x),
+                                          sys.e_lu.solve(x, trans=True))
+
+    def test_other_formats_and_complex_input(self, rng):
+        d = rng.uniform(0.5, 2.0, 6)
+        x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        for e in (sp.diags(d, format="dia"), sp.diags(d, format="csc"),
+                  sp.coo_matrix(np.diag(d))):
+            sys = self.system(e)
+            assert sys._e_diagonal is not None
+            np.testing.assert_array_equal(sys.solve_e(x.real), x.real / d)
+            # complex right-hand sides keep the LU path
+            np.testing.assert_array_equal(sys.solve_e(x), sys.e_lu.solve(x))
+
+    def test_non_diagonal_and_dense_mass_use_lu(self, rng):
+        tridiagonal = sp.diags([0.1, 1.0, 0.1], [-1, 0, 1], shape=(6, 6),
+                               format="csr")
+        # the identity with an explicit zero stored at (0, 1)
+        stored_zero = sp.csr_matrix(
+            ([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0], [0, 1, 1, 2, 3, 4, 5],
+             [0, 2, 3, 4, 5, 6, 7]), shape=(6, 6))
+        v = rng.standard_normal(6)
+        for e in (tridiagonal, stored_zero, np.diag(rng.uniform(1, 2, 6))):
+            sys = self.system(e)
+            assert sys._e_diagonal is None
+            np.testing.assert_allclose(sys.solve_e(v),
+                                       np.linalg.solve(as_dense(e), v),
+                                       rtol=1e-14)
+
+    def test_wrong_length_still_raises(self):
+        sys = self.system(sp.diags(np.arange(1.0, 5.0), format="csr"))
+        with pytest.raises(ValueError):
+            sys.solve_e(np.ones(1))
 
 
 class TestSpectralAbscissa:

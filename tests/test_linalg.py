@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +70,21 @@ class TestLU:
         assert np.allclose(a @ x, b, atol=1e-10)
         x_t = lu_factor(a).solve(b, trans=True)
         assert np.allclose(a.T @ x_t, b, atol=1e-10)
+
+    def test_dense_solve_is_scipy_lu_solve(self, rng):
+        # the direct LAPACK call gives lu_solve's result and dtype exactly
+        a = rng.standard_normal((12, 12)) + 4 * np.eye(12)
+        lu = lu_factor(a)
+        for b in (rng.standard_normal(12), rng.standard_normal((12, 3)),
+                  rng.standard_normal(12).astype(np.float32), np.arange(12)):
+            for trans in (False, True):
+                want = sla.lu_solve((lu._lu, lu._piv), b, trans=int(trans))
+                got = lu.solve(b, trans=trans)
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == want.dtype
+        assert lu.solve(np.zeros((12, 0))).shape == (12, 0)
+        with pytest.raises(ValueError):
+            lu.solve(np.ones(3))
 
     def test_singular_dense_raises(self):
         with pytest.raises(SingularMatrix):

@@ -1,6 +1,9 @@
 """Stability-preserving transformation: Lyapunov solvers, factors, reduction."""
 from __future__ import annotations
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -159,28 +162,43 @@ class TestDenseLyapunov:
         assert lyapunov_residual(sys.a, sys.e, m, f) > 1e-8 * np.linalg.norm(f)
 
     def test_perturbed_solution_rejected(self, rng, monkeypatch):
-        # E = I, so the standard-form solution N is M itself
-        sys = benchgen.gen_msd_chain(masses=4)
-        f = build_stab_factor_F(sys, delta=1.0).u_tilde
-        f = f @ f.T
-        exact = sla.solve_continuous_lyapunov
-        g = rng.standard_normal((8, 8))
-        g = g + g.T
+        assert_perturbed_solution_rejected(benchgen.gen_msd_chain(masses=4),
+                                           rng, monkeypatch)
 
-        def perturbed(a, q):
-            n = exact(a, q)
-            return n + 1e-6 * np.linalg.norm(n) / np.linalg.norm(g) * g
-
-        solve_lyapunov_dense(sys.a, sys.e, f)
-        monkeypatch.setattr(stabilize.sla, "solve_continuous_lyapunov",
-                            perturbed)
-        with pytest.raises(StabmorError, match="exceeds tolerance"):
-            solve_lyapunov_dense(sys.a, sys.e, f)
+    @pytest.mark.parametrize("make", [
+        lambda: benchgen.gen_msd_chain(masses=150),
+        lambda: benchgen.gen_nonnormal_stable(n=300),
+    ], ids=["msd150", "nonnormal300"])
+    def test_perturbed_solution_rejected_at_scale(self, make, rng,
+                                                  monkeypatch):
+        # a relative error of 1e-6 is a backward error near 2.5e-9 here
+        assert_perturbed_solution_rejected(make(), rng, monkeypatch)
 
     def test_nonsymmetric_rhs_rejected(self):
         with pytest.raises(ValueError):
             solve_lyapunov_dense(-np.eye(2), np.eye(2),
                                  np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def assert_perturbed_solution_rejected(sys, rng, monkeypatch):
+    """A symmetric error of relative size 1e-6 in M fails the residual check.
+
+    Every system used has E = I, so the standard-form solution N is M.
+    """
+    f = build_stab_factor_F(sys, delta=1.0).u_tilde
+    f = f @ f.T
+    exact = sla.solve_continuous_lyapunov
+    g = rng.standard_normal((sys.n, sys.n))
+    g = g + g.T
+
+    def perturbed(a, q):
+        n = exact(a, q)
+        return n + 1e-6 * np.linalg.norm(n) / np.linalg.norm(g) * g
+
+    solve_lyapunov_dense(sys.a, sys.e, f)
+    monkeypatch.setattr(stabilize.sla, "solve_continuous_lyapunov", perturbed)
+    with pytest.raises(StabmorError, match="exceeds tolerance"):
+        solve_lyapunov_dense(sys.a, sys.e, f)
 
 
 class TestLRADI:
@@ -496,6 +514,66 @@ class TestMatrixSqrt:
         v = np.linspace(1, 3, 3)
         assert np.allclose(op.apply_sqrt(op.apply_sqrt(v)), stab.apply(v),
                            atol=1e-10)
+
+
+class TestCertificate:
+    """||W||_2^2 of the LR-ADI residual W W^T against min(delta, |mu_k+1|)."""
+
+    @pytest.fixture(scope="class")
+    def convdiff(self):
+        return benchgen.gen_convection_diffusion(n=400)
+
+    def test_default_steps_uncertified_and_warned(self, convdiff):
+        with pytest.warns(UserWarning, match="not certified"):
+            stab = assemble_stabilizer(convdiff, mode="lradi")
+        assert stab.mode == "lradi" and not stab.certified
+        a, e = densify(convdiff.a), densify(convdiff.e)
+        z, u = stab.z, stab.u_tilde
+        residual = np.linalg.norm(
+            a.T @ z @ (z.T @ e) + e.T @ z @ (z.T @ a) + u @ u.T, 2)
+        assert stab.residual_norm > stab.certificate_bound
+        assert abs(stab.residual_norm - residual) <= 1e-8 * residual
+        g = np.linalg.solve(e, a)
+        mu = np.linalg.eigvalsh(g + g.T)
+        want = min(stab.delta, abs(mu[mu < 0.0].max()))
+        assert abs(stab.certificate_bound - want) <= 1e-6 * want
+
+    def test_long_run_certified_without_warning(self, convdiff):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stab = assemble_stabilizer(
+                convdiff, mode="lradi", steps=200,
+                config=DEFAULT.with_(lradi_num_shifts=40))
+        assert stab.certified
+        assert stab.residual_norm < stab.certificate_bound
+
+    def test_exact_and_empty_factors_are_certified(self):
+        dense = assemble_stabilizer(benchgen.gen_msd_chain(masses=4),
+                                    mode="dense")
+        none = assemble_stabilizer(LinearSystem(
+            np.eye(3), -np.eye(3), np.ones((3, 1)), np.ones((1, 3))))
+        for stab in (dense, none):
+            assert stab.certified and stab.residual_norm == 0.0
+            assert 0.0 < stab.certificate_bound <= stab.delta
+
+    def test_manifest_records_certificate(self, tmp_path):
+        sys = benchgen.gen_convection_diffusion(n=80)
+        with pytest.warns(UserWarning, match="not certified"):
+            stab = assemble_stabilizer(sys, mode="lradi", steps=2)
+        save_stabilizer(stab, tmp_path / "stab")
+        manifest = json.loads((tmp_path / "stab" / "manifest.json")
+                              .read_text())
+        assert manifest["certified"] is False
+        assert manifest["residual_norm"] == stab.residual_norm
+        assert manifest["certificate_bound"] == stab.certificate_bound
+        back = load_stabilizer(tmp_path / "stab", sys)
+        assert back.residual_norm == stab.residual_norm
+        assert back.certificate_bound == stab.certificate_bound
+        # a manifest without a certificate loads as uncertified
+        for key in ("residual_norm", "certificate_bound", "certified"):
+            del manifest[key]
+        (tmp_path / "stab" / "manifest.json").write_text(json.dumps(manifest))
+        assert not load_stabilizer(tmp_path / "stab", sys).certified
 
 
 class TestPersistence:
