@@ -26,7 +26,7 @@ def main() -> int:
     parser.add_argument("--diffusion", type=float, default=1e-3)
     parser.add_argument("--grade", type=float, default=8.0)
     parser.add_argument("--r-max", type=int, default=12)
-    parser.add_argument("--adi-steps", type=int, default=80)
+    parser.add_argument("--adi-steps", type=int, default=200)
     parser.add_argument("--horizon", type=float, default=2.0)
     parser.add_argument("--trapz-steps", type=int, default=1000)
     parser.add_argument("--out", default="runs/convdiff_pod")
@@ -41,7 +41,8 @@ def main() -> int:
                                          steps=args.adi_steps)
     print(f"transformation: k = {stab.k}, rank q = {stab.q} after "
           f"{len(stab.residual_history) - 1} recorded ADI iterations "
-          f"(final residual {stab.residual_history[-1]:.3e})")
+          f"(final residual {stab.residual_history[-1]:.3e}, "
+          f"certified: {stab.certified})")
 
     u = analysis.make_input("step")
     x0 = np.zeros(system.n)

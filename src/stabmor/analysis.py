@@ -24,8 +24,6 @@ snapshot matrix (O(n count)), which the Lanczos path of the thin SVD needs
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,14 +61,6 @@ __all__ = [
 ]
 
 CSV_VERSION = "stabmor-v1"
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("STABMOR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -123,11 +113,7 @@ def _sample_norms(tf_a, tf_b, omegas) -> np.ndarray:
             h = h - tf_b.eval(1j * omega)
         return float(np.linalg.norm(h))
 
-    workers = _max_workers()
-    if workers == 1:
-        return np.asarray([one(w) for w in omegas])
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.asarray(list(pool.map(one, omegas)))
+    return np.asarray([one(w) for w in omegas])
 
 
 def _as_transfer(system) -> TransferFunction:

@@ -2,8 +2,7 @@
 
 Every invocation writes a ``report.json`` with the complete settings of
 the run so it can be reproduced exactly; identical settings and seed give
-byte-identical CSV outputs. The environment variable STABMOR_THREADS caps
-the worker count for frequency-grid sampling (default 1).
+byte-identical CSV outputs.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.
 """
@@ -393,8 +392,7 @@ def cmd_analyze(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stabmor",
-        description="Stability-preserving Galerkin model order reduction.",
-        epilog="STABMOR_THREADS caps frequency-sweep workers (default 1).")
+        description="Stability-preserving Galerkin model order reduction.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a benchmark system bundle")

@@ -119,8 +119,6 @@ class LinearSystem:
         return self.a @ x
 
     def apply_at(self, x):
-        if sp.issparse(self.a):
-            return self.a.T @ x
         return self.a.T @ x
 
     @functools.cached_property

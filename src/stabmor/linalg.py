@@ -2,9 +2,9 @@
 
 Factorizations and decompositions are pure functions of immutable inputs.
 Commodity operations (LU, dense symmetric eigensolve, real Schur form) are
-delegated to LAPACK/SuperLU through scipy; the iterative pieces that need
-specific contracts (full-reorthogonalization Lanczos, Householder QR with
-applicable reflectors) are implemented here.
+delegated to LAPACK/SuperLU through scipy; the one iterative piece that
+needs a specific contract (full-reorthogonalization Lanczos with restart
+on breakdown) is implemented here.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .errors import ConvergenceFailure, DenseCapExceeded, SingularMatrix, Symmet
 __all__ = [
     "LUFactorization",
     "lu_factor",
-    "HouseholderQR",
-    "householder_qr",
     "sym_eig_dense",
     "dominant_sym_eigs",
     "Snapshots",
@@ -106,74 +104,6 @@ class LUFactorization:
 def lu_factor(m, context: str = "lu_factor") -> LUFactorization:
     """Factorize a square matrix; raises :class:`SingularMatrix` if singular."""
     return LUFactorization(m, context=context)
-
-
-class HouseholderQR:
-    """QR factorization with Q kept as a sequence of Householder reflectors.
-
-    For an n-by-q input (q <= n) the orthogonal factor is the product of q
-    reflectors, each stored as one column; applying Q or Q^T to a vector
-    costs O(n q). ``r_prime`` is the leading q-by-q upper triangle of R.
-    """
-
-    def __init__(self, m: np.ndarray):
-        r = np.array(as_dense(m), dtype=float, copy=True)
-        if r.ndim != 2:
-            raise ValueError("householder_qr expects a matrix")
-        n, q = r.shape
-        if q > n:
-            raise ValueError("householder_qr expects q <= n")
-        self.n, self.q = n, q
-        self._v = np.zeros((n, q))
-        for j in range(q):
-            x = r[j:, j]
-            normx = np.linalg.norm(x)
-            if normx == 0.0:
-                continue  # zero column: reflector is the identity
-            alpha = -np.copysign(normx, x[0]) if x[0] != 0 else -normx
-            v = x.copy()
-            v[0] -= alpha
-            vnorm = np.linalg.norm(v)
-            if vnorm == 0.0:
-                continue
-            v /= vnorm
-            r[j:, j:] -= 2.0 * np.outer(v, v @ r[j:, j:])
-            self._v[j:, j] = v
-        self.r = r
-        self.r_prime = r[:q, :q]
-
-    @property
-    def rank_deficient(self) -> bool:
-        d = np.abs(np.diag(self.r_prime))
-        if d.size == 0:
-            return False
-        return d.min() <= 1e-14 * max(d.max(), 1e-300)
-
-    @staticmethod
-    def _reflect(v, y, j):
-        if y.ndim > 1:
-            y[j:] -= 2.0 * np.multiply.outer(v, v @ y[j:])
-        else:
-            y[j:] -= 2.0 * v * (v @ y[j:])
-
-    def apply_qt(self, y):
-        """Return Q^T y, applying the reflectors first-to-last."""
-        y = np.array(y, dtype=float, copy=True)
-        for j in range(self.q):
-            self._reflect(self._v[j:, j], y, j)
-        return y
-
-    def apply_q(self, y):
-        """Return Q y, applying the reflectors last-to-first."""
-        y = np.array(y, dtype=float, copy=True)
-        for j in range(self.q - 1, -1, -1):
-            self._reflect(self._v[j:, j], y, j)
-        return y
-
-
-def householder_qr(m) -> HouseholderQR:
-    """Householder QR of an n-by-q matrix (q <= n)."""
-    return HouseholderQR(m)
 
 
 def sym_eig_dense(m, config: Tolerances = DEFAULT):

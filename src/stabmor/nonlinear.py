@@ -151,8 +151,8 @@ def nonlinear_reduce(sys: NonlinearSystem, basis,
     """Project a nonlinear system onto ``basis``.
 
     With ``stab`` (assembled from the linearization at the equilibrium)
-    the test basis is W = M~ E V and the reduced mass matrix is the
-    symmetric positive definite I_r + (Z^T E V)^T (Z^T E V); without it
+    the test basis W = M~ E V and the symmetric positive definite reduced
+    mass matrix come from :meth:`StabilizerFactor.test_basis`; without it
     the conventional W = V is used. The system is shifted so the reduced
     equilibrium sits at the origin.
     """
@@ -160,20 +160,11 @@ def nonlinear_reduce(sys: NonlinearSystem, basis,
     v = basis.v if hasattr(basis, "v") else np.asarray(basis, dtype=float)
     if v.shape[0] != sys.n:
         raise ValueError(f"basis has {v.shape[0]} rows, system has n = {sys.n}")
-    r = v.shape[1]
-    ev = as_dense(shifted.e @ v)
     if stab is None:
         w = v
-        ebar = w.T @ ev
+        ebar = w.T @ as_dense(shifted.e @ v)
     else:
-        w = shifted.solve_et(v)
-        if stab.q:
-            g = stab.z.T @ ev
-            w = w + stab.z @ g
-            ebar = np.eye(r) + g.T @ g
-        else:
-            ebar = np.eye(r)
-        ebar = 0.5 * (ebar + ebar.T)
+        w, ebar = stab.test_basis(v)
 
     def fbar(xbar, w=w, v=v, shifted=shifted):
         return w.T @ np.asarray(shifted.f(v @ xbar), dtype=float)

@@ -117,17 +117,6 @@ class TestH2Error:
         assert res.omega_max == 500.0 and res.points == 800
         assert abs(res.value - np.sqrt(0.5)) <= 2e-3
 
-    def test_thread_count_does_not_change_the_value(self, monkeypatch):
-        sys = benchgen.gen_msd_chain(masses=4)
-        rom = galerkin_reduce(sys, arnoldi_basis(sys, 3, s0=1.0))
-        monkeypatch.setenv("STABMOR_THREADS", "1")
-        serial = h2_error(sys, rom).value
-        monkeypatch.setenv("STABMOR_THREADS", "4")
-        threaded = h2_error(sys, rom).value
-        assert serial == threaded
-        monkeypatch.setenv("STABMOR_THREADS", "not-a-number")
-        assert h2_error(sys, rom).value == serial
-
 
 class TestFrequencyGrid:
     def test_grid_shape_and_monotonicity(self):

@@ -13,7 +13,6 @@ from stabmor.errors import DenseCapExceeded, SingularMatrix
 from stabmor.linalg import (
     as_dense,
     dominant_sym_eigs,
-    householder_qr,
     lu_factor,
     read_mtx,
     real_schur,
@@ -107,24 +106,6 @@ class TestLU:
         x_true = gen.standard_normal(n)
         x = lu_factor(a).solve(a @ x_true)
         assert np.allclose(x, x_true, atol=1e-8)
-
-
-class TestHouseholderQR:
-    def test_reconstruction_and_orthogonality(self, rng):
-        m = rng.standard_normal((40, 6))
-        qr = householder_qr(m)
-        # Q R reproduces the matrix: apply Q to [R; 0]
-        padded = np.vstack([qr.r_prime, np.zeros((34, 6))])
-        assert np.allclose(qr.apply_q(padded), m, atol=1e-12)
-        # Q^T Q acts as the identity
-        v = rng.standard_normal(40)
-        assert np.allclose(qr.apply_q(qr.apply_qt(v)), v, atol=1e-12)
-
-    def test_rank_deficiency_flag(self, rng):
-        col = rng.standard_normal((30, 1))
-        m = np.hstack([col, 2.0 * col])
-        assert householder_qr(m).rank_deficient
-        assert not householder_qr(rng.standard_normal((30, 2))).rank_deficient
 
 
 class TestSymEig:

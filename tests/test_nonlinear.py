@@ -159,6 +159,10 @@ class TestNonlinearReduce:
         assert np.allclose(rom_nl.jac(np.zeros(3)), rom_lin.abar, atol=1e-12)
         assert np.allclose(rom_nl.bbar, rom_lin.bbar, atol=1e-12)
         assert np.allclose(rom_nl.cbar, rom_lin.cbar, atol=1e-12)
+        # both reductions take W and the reduced mass from the one kernel
+        w, ebar = stab.test_basis(basis.v)
+        assert np.array_equal(rom_nl.w, w)
+        assert np.array_equal(rom_nl.ebar, ebar)
         # stabilized reduced mass is symmetric positive definite
         assert np.allclose(rom_nl.ebar, rom_nl.ebar.T)
         assert np.linalg.eigvalsh(rom_nl.ebar).min() > 0.0

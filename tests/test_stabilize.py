@@ -365,7 +365,8 @@ class TestStabilizedReduce:
         sys, basis = crafted_case()
         conventional = galerkin_reduce(sys, basis)
         assert spectral_abscissa(conventional.to_system()) > 0
-        red = stabilized_reduce(sys, basis, mode="dense")
+        red = stabilized_reduce(sys, basis,
+                                assemble_stabilizer(sys, mode="dense"))
         assert spectral_abscissa(red.to_system()) < 0
         assert red.stabilized and red.w_source == "lyapunov"
 
@@ -423,7 +424,8 @@ class TestStabilizedReduce:
         # columns must reach the actuated velocity and the measured position
         basis = external_basis(np.eye(8)[:, [3, 4]])
         conv = galerkin_reduce(sys, basis)
-        stab_red = stabilized_reduce(sys, basis, mode="dense")
+        stab_red = stabilized_reduce(sys, basis,
+                                     assemble_stabilizer(sys, mode="dense"))
         u = analysis.make_input("sine", period=4.0)
         t_conv = analysis.integrate_trapezoidal(conv, u, np.zeros(2),
                                                 (0.0, 10.0), steps=800)
@@ -476,15 +478,16 @@ class TestMatrixSqrt:
         assert np.allclose(got, np.diag([np.sqrt(2.0), 1.0, 1.0]), atol=1e-12)
 
     def test_identities_random(self, rng):
-        n, q = 300, 8
-        z = rng.standard_normal((n, q))
-        op = matrix_sqrt_factor(z)
-        v = rng.standard_normal((n, 5))
-        mv = v + z @ (z.T @ v)
-        sq = op.apply_sqrt(op.apply_sqrt(v))
-        assert np.linalg.norm(sq - mv) <= 1e-10 * np.linalg.norm(mv)
-        back = op.apply_inv_sqrt(op.apply_sqrt(v))
-        assert np.linalg.norm(back - v) <= 1e-10 * np.linalg.norm(v)
+        # the second factor is wide: q > n, and Z Z^T has rank n
+        for n, q in ((300, 8), (40, 60)):
+            z = rng.standard_normal((n, q))
+            op = matrix_sqrt_factor(z)
+            v = rng.standard_normal((n, 5))
+            mv = v + z @ (z.T @ v)
+            sq = op.apply_sqrt(op.apply_sqrt(v))
+            assert np.linalg.norm(sq - mv) <= 1e-10 * np.linalg.norm(mv)
+            back = op.apply_inv_sqrt(op.apply_sqrt(v))
+            assert np.linalg.norm(back - v) <= 1e-10 * np.linalg.norm(v)
 
     def test_matches_dense_eigh_oracle(self, rng):
         n, q = 40, 5
