@@ -18,7 +18,7 @@ preallocated rows. The Dormand-Prince integrator can harvest every internal
 stage state as a POD snapshot. Up to ``config.svd_gram_max`` states the
 harvest keeps only the n-by-n Gram matrix of the snapshots, accumulated
 block by block (O(n^2) memory); above it, it keeps the raw n-by-count
-snapshot matrix (O(n count)), which the Lanczos path of the thin SVD needs
+snapshot matrix (O(n count)), which the ARPACK path of the thin SVD needs
 (see ``linalg.Snapshots``).
 """
 

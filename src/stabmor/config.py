@@ -11,18 +11,11 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    # orthonormality of any produced factor, ||Q^T Q - I||
-    orth: float = 1e-10
-    # relative residual accepted from an LU solve
-    lu_residual: float = 1e-10
     # symmetry check, relative to ||m||
     sym_check: float = 1e-12
-    # dense eigensolver residual, relative to ||m||
-    eig_residual: float = 1e-10
-    # Lanczos Ritz-pair residual, relative to |mu_1| + operator norm estimate
+    # ARPACK's relative Ritz-pair tolerance (eigsh's tol) for the
+    # symmetric-part spectrum above dense_cap
     lanczos_residual: float = 1e-8
-    # real Schur reconstruction residual, relative to ||m||
-    schur_residual: float = 1e-10
     # largest n admitted to dense O(n^3) paths
     dense_cap: int = 2000
     # eigenvalue >= -nonneg_margin * |mu_1| counts as non-negative

@@ -1,10 +1,9 @@
 """Dense and sparse linear-algebra kernels used by every other module.
 
 Factorizations and decompositions are pure functions of immutable inputs.
-Commodity operations (LU, dense symmetric eigensolve, real Schur form) are
-delegated to LAPACK/SuperLU through scipy; the one iterative piece that
-needs a specific contract (full-reorthogonalization Lanczos with restart
-on breakdown) is implemented here.
+They are delegated to scipy: LU to LAPACK and SuperLU, dense eigenvalue
+problems to LAPACK, and iterative ones (partial SVDs of large matrices)
+to ARPACK, always from a seeded start vector so that runs repeat bitwise.
 """
 
 from __future__ import annotations
@@ -18,17 +17,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .config import DEFAULT, Tolerances
-from .errors import ConvergenceFailure, DenseCapExceeded, SingularMatrix, SymmetryViolation
+from .errors import ConvergenceFailure, SingularMatrix, SymmetryViolation
 
 __all__ = [
     "LUFactorization",
     "lu_factor",
     "sym_eig_dense",
-    "dominant_sym_eigs",
+    "dense_abscissa",
     "Snapshots",
     "thin_svd",
-    "real_schur",
-    "schur_eigenvalues",
     "spectral_norm",
     "as_dense",
     "read_mtx",
@@ -123,114 +120,16 @@ def sym_eig_dense(m, config: Tolerances = DEFAULT):
     return w[::-1].copy(), u[:, ::-1].copy()
 
 
-def _as_matvec(op):
-    if callable(op):
-        return op
-    return lambda v: op @ v
+def dense_abscissa(m) -> float:
+    """Largest real part over the eigenvalues of a dense square matrix.
 
-
-def dominant_sym_eigs(op, n: int, ell: int, config: Tolerances = DEFAULT,
-                      maxiter: int | None = None, seed: int = 0):
-    """Top-``ell`` eigenpairs of a symmetric operator given by matvec only.
-
-    Lanczos iteration with full reorthogonalization. Breakdown (an invariant
-    subspace was found) is handled by restarting the recurrence with a fresh
-    random direction orthogonal to everything seen so far, which leaves the
-    projected matrix block tridiagonal and keeps all Ritz information.
-
-    Parameters
-    ----------
-    op : callable or matrix
-        Symmetric operator; symmetry is a contract, not checked.
-    n : int
-        Dimension of the operator.
-    ell : int
-        Number of dominant (largest, signed) eigenpairs requested.
-    maxiter : int, optional
-        Cap on the Krylov dimension; defaults to ``min(n, max(10 ell, 120))``.
-    seed : int
-        Seed for the start vector, making results reproducible.
-
-    Returns
-    -------
-    (w, u) : eigenvalues descending, eigenvectors as columns (n-by-ell).
-
-    Raises
-    ------
-    ConvergenceFailure
-        If the requested residual is not reached within ``maxiter`` steps;
-        carries the best residual bound seen.
+    One LAPACK ``geev`` without eigenvectors; raises
+    :class:`ConvergenceFailure` when its QR iteration does not converge.
     """
-    if ell < 1 or ell > n:
-        raise ValueError("need 1 <= ell <= n")
-    matvec = _as_matvec(op)
-    rng = np.random.default_rng(seed)
-    m_max = maxiter if maxiter is not None else min(n, max(10 * ell, 120))
-    m_max = min(max(m_max, ell), n)
-
-    big_q = np.zeros((n, m_max))
-    alphas: list[float] = []
-    betas: list[float] = []
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    best_bound = np.inf
-
-    for m in range(1, m_max + 1):
-        big_q[:, m - 1] = q
-        u = matvec(q)
-        alpha = float(q @ u)
-        alphas.append(alpha)
-        r = u - alpha * q
-        if m > 1 and betas[-1] != 0.0:
-            r -= betas[-1] * big_q[:, m - 2]
-        # two reorthogonalization passes against all previous vectors
-        r -= big_q[:, :m] @ (big_q[:, :m].T @ r)
-        r -= big_q[:, :m] @ (big_q[:, :m].T @ r)
-        beta = float(np.linalg.norm(r))
-
-        scale = max(max(abs(a) for a in alphas), max(betas, default=0.0), 1e-300)
-        exhausted = False
-        if beta <= 1e-13 * scale:
-            beta = 0.0
-            if m < m_max:
-                # invariant subspace: continue in its orthogonal complement
-                for _ in range(3):
-                    v = rng.standard_normal(n)
-                    v -= big_q[:, :m] @ (big_q[:, :m].T @ v)
-                    v -= big_q[:, :m] @ (big_q[:, :m].T @ v)
-                    nv = np.linalg.norm(v)
-                    if nv > 1e-8:
-                        q = v / nv
-                        break
-                else:
-                    exhausted = True
-        else:
-            q = r / beta
-        betas.append(beta)
-
-        check = m >= ell and (m % 5 == 0 or beta == 0.0 or exhausted
-                              or m == m_max or m == n)
-        if check:
-            w, s = sla.eigh_tridiagonal(np.asarray(alphas), np.asarray(betas[:m - 1]))
-            idx = np.argsort(w)[::-1][:ell]
-            bounds = np.abs(beta * s[m - 1, idx])
-            opnorm_est = max(abs(w[0]), abs(w[-1]))
-            tol = config.lanczos_residual * (abs(w[idx[0]]) + opnorm_est)
-            best_bound = min(best_bound, float(bounds.max()))
-            if bounds.max() <= tol or exhausted or m == n:
-                vals = w[idx]
-                vecs = big_q[:, :m] @ s[:, idx]
-                # normalize columns; full reorthogonalization keeps them
-                # orthogonal to working precision already
-                vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
-                return vals, vecs
-        if exhausted:
-            break
-
-    raise ConvergenceFailure(
-        f"Lanczos did not converge {ell} pairs within {m_max} steps "
-        f"(best residual bound {best_bound:.3e})",
-        best_residual=best_bound)
+    try:
+        return float(np.linalg.eigvals(m).real.max())
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"dense eigenvalues: {exc}") from exc
 
 
 def _fix_signs(u: np.ndarray) -> np.ndarray:
@@ -239,6 +138,15 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
         if u[i, j] < 0:
             u[:, j] = -u[:, j]
     return u
+
+
+def _svds(m, k: int, **kwargs):
+    """ARPACK's ``svds`` from a seeded start vector; failures are typed."""
+    v0 = np.random.default_rng(0).standard_normal(min(m.shape))
+    try:
+        return spla.svds(m, k=k, v0=v0, **kwargs)
+    except spla.ArpackError as exc:
+        raise ConvergenceFailure(f"svds: {exc}") from exc
 
 
 # Snapshot columns buffered per Gram update (SNAPSHOT_BLOCK-by-n buffer).
@@ -253,7 +161,7 @@ class Snapshots:
     each column is written into one fixed SNAPSHOT_BLOCK-by-n buffer, and
     every full buffer B is added as G += B^T B. Memory is then O(n^2),
     whatever the count. Above that size the raw matrix is kept in
-    ``matrix`` (O(n count)), for the Lanczos path of :func:`thin_svd`.
+    ``matrix`` (O(n count)), for the ARPACK path of :func:`thin_svd`.
     ``close`` adds the last partial buffer and releases it. ``shape`` is
     ``(n, count)`` and ``nbytes`` counts the arrays actually held.
     """
@@ -315,11 +223,12 @@ def _gram_svd(g, r: int, config: Tolerances):
 def thin_svd(m, r: int, config: Tolerances = DEFAULT):
     """Leading left singular vectors and singular values of ``m``.
 
-    Uses an eigendecomposition of the smaller Gram matrix when its side
-    length is at most ``config.svd_gram_max``; beyond that a Lanczos run on
-    the Gram operator of the smaller side is used, so only matvecs with
-    ``m`` and ``m^T`` are needed. A closed :class:`Snapshots` is taken
-    through its accumulated Gram matrix, or its raw matrix if it kept one.
+    Up to a smaller side of ``config.svd_gram_max`` the dense path
+    eigendecomposes the smaller Gram matrix with LAPACK. Above it, the
+    ARPACK path calls scipy's ``svds``, which needs only products with
+    ``m`` and ``m^T`` and requires ``r`` below the smaller side. A closed
+    :class:`Snapshots` is taken through its accumulated Gram matrix, or its
+    raw matrix if it kept one.
 
     Returns ``(u, sigma)`` with ``u`` n-by-r orthonormal and ``sigma``
     descending.
@@ -333,19 +242,14 @@ def thin_svd(m, r: int, config: Tolerances = DEFAULT):
             return _gram_svd(m.gram, r, config)
         m = m.matrix
 
-    dense = small <= config.svd_gram_max
+    if small > config.svd_gram_max:
+        u, sigma, _ = _svds(m, r)
+        return _fix_signs(u[:, ::-1].copy()), sigma[::-1].copy()
     if n <= s:
-        if dense:
-            return _gram_svd(as_dense(m @ m.T), r, config)
-        w, u = dominant_sym_eigs(lambda v: m @ (m.T @ v), n, r, config)
-        sigma = np.sqrt(np.clip(w[:r], 0.0, None))
-        return _fix_signs(u[:, :r].copy()), sigma
+        return _gram_svd(as_dense(m @ m.T), r, config)
 
-    if dense:
-        g = as_dense(m.T @ m)
-        w, v = sym_eig_dense(0.5 * (g + g.T), config)
-    else:
-        w, v = dominant_sym_eigs(lambda x: m.T @ (m @ x), s, r, config)
+    g = as_dense(m.T @ m)
+    w, v = sym_eig_dense(0.5 * (g + g.T), config)
     sigma = np.sqrt(np.clip(w[:r], 0.0, None))
     u = np.zeros((n, r))
     for j in range(r):
@@ -360,62 +264,16 @@ def thin_svd(m, r: int, config: Tolerances = DEFAULT):
     return _fix_signs(u), sigma
 
 
-def real_schur(m, config: Tolerances = DEFAULT):
-    """Real Schur form ``m = Q T Q^T`` with quasi-upper-triangular T.
-
-    Returns ``(q, t)``. Raises :class:`DenseCapExceeded` above the dense
-    cap and :class:`ConvergenceFailure` if the QR iteration does not settle.
-    """
-    m = as_dense(m)
-    if m.shape[0] > config.dense_cap:
-        raise DenseCapExceeded(
-            f"real_schur: n = {m.shape[0]} exceeds dense cap {config.dense_cap}")
-    try:
-        t, q = sla.schur(m, output="real")
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"real_schur: {exc}") from exc
-    return q, t
-
-
-def schur_eigenvalues(t: np.ndarray) -> np.ndarray:
-    """Eigenvalues read off the 1x1 / 2x2 diagonal blocks of a real Schur form."""
-    n = t.shape[0]
-    vals = []
-    i = 0
-    while i < n:
-        if i + 1 < n and t[i + 1, i] != 0.0:
-            a, b = t[i, i], t[i, i + 1]
-            c, d = t[i + 1, i], t[i + 1, i + 1]
-            half_tr = 0.5 * (a + d)
-            disc = half_tr * half_tr - (a * d - b * c)
-            if disc < 0.0:
-                im = np.sqrt(-disc)
-                vals.extend([half_tr + 1j * im, half_tr - 1j * im])
-            else:
-                root = np.sqrt(disc)
-                vals.extend([half_tr + root, half_tr - root])
-            i += 2
-        else:
-            vals.append(t[i, i] + 0.0j)
-            i += 1
-    return np.asarray(vals, dtype=complex)
-
-
-def spectral_norm(m, config: Tolerances = DEFAULT) -> float:
+def spectral_norm(m) -> float:
     """2-norm of a matrix; sparse input is handled without densifying."""
-    if sp.issparse(m):
-        coo = m.tocoo()
-        if coo.nnz == 0:
-            return 0.0
-        if np.all(coo.row == coo.col):  # diagonal matrix
-            return float(np.abs(coo.data).max())
-        if m.shape[0] >= m.shape[1]:
-            gram = lambda v: m.T @ (m @ v)  # noqa: E731
-        else:
-            gram = lambda v: m @ (m.T @ v)  # noqa: E731
-        w, _ = dominant_sym_eigs(gram, min(m.shape), 1, config)
-        return float(np.sqrt(max(w[0], 0.0)))
-    return float(np.linalg.norm(as_dense(m), 2))
+    if not sp.issparse(m) or min(m.shape) == 1:
+        return float(np.linalg.norm(as_dense(m), 2))
+    coo = m.tocoo()
+    if coo.nnz == 0:
+        return 0.0
+    if np.all(coo.row == coo.col):  # diagonal matrix
+        return float(np.abs(coo.data).max())
+    return float(_svds(m, 1, return_singular_vectors=False)[0])
 
 
 def read_mtx(path):

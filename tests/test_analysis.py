@@ -280,7 +280,7 @@ class TestSnapshotHarvest:
         raw = convdiff_harvest(config=self.RAW).snapshots
         assert raw.gram is None
         assert raw.nbytes == raw.matrix.nbytes == 8 * 100 * raw.shape[1]
-        # Lanczos on the raw matrix against the dense Gram eigensolve
+        # ARPACK on the raw matrix against the dense Gram eigensolve
         got = pod_basis(raw, 8, config=self.RAW)
         want = pod_basis(convdiff_harvest().snapshots, 8)
         assert np.abs(got.v - want.v).max() <= 1e-8

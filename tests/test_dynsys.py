@@ -1,15 +1,18 @@
 """Linear system representation, stability reports, transfer functions."""
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabmor import benchgen
 from stabmor.config import DEFAULT
 from stabmor.linalg import as_dense
-from stabmor.errors import DenseCapExceeded, PoleHit, SingularE
+from stabmor.errors import ConvergenceFailure, DenseCapExceeded, PoleHit, SingularE
 from stabmor.dynsys import (
     LinearSystem,
     TransferFunction,
@@ -178,6 +181,34 @@ class TestSymmetricPartSpectrum:
         frag = symmetric_part_spectrum(sys, ell=3)
         assert frag.incomplete
         assert frag.k == 3  # lower bound only
+
+    @pytest.mark.parametrize("make", [
+        lambda: benchgen.gen_nonnormal_stable(n=300, seed=0),
+        lambda: benchgen.gen_msd_chain(masses=30),
+    ], ids=["nonnormal300", "msd30"])
+    def test_arpack_path_matches_dense_path(self, make):
+        sys = make()
+        dense = symmetric_part_spectrum(sys, ell=16)
+        arpack = symmetric_part_spectrum(
+            sys, ell=16, config=DEFAULT.with_(dense_cap=sys.n - 1))
+        assert arpack.k == dense.k
+        assert arpack.incomplete == dense.incomplete
+        assert (np.abs(arpack.values - dense.values).max()
+                <= 1e-8 * abs(dense.mu_max))
+
+    def test_all_pairs_above_the_cap_rejected(self, rng):
+        sys = random_stable_system(rng, 12)
+        with pytest.raises(DenseCapExceeded):
+            symmetric_part_spectrum(sys, ell=12,
+                                    config=DEFAULT.with_(dense_cap=10))
+
+    def test_arpack_failure_is_typed_and_fast(self):
+        # the interior cluster of convection-diffusion does not converge
+        sys = benchgen.gen_convection_diffusion(n=2001)
+        t0 = time.perf_counter()
+        with pytest.raises(ConvergenceFailure):
+            symmetric_part_spectrum(sys, ell=16)
+        assert time.perf_counter() - t0 < 2.0
 
     def test_report_consistency(self, rng):
         sys = random_stable_system(rng, 25)

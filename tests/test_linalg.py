@@ -9,14 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabmor.config import DEFAULT
-from stabmor.errors import DenseCapExceeded, SingularMatrix
+from stabmor.errors import ConvergenceFailure, SingularMatrix
 from stabmor.linalg import (
     as_dense,
-    dominant_sym_eigs,
+    dense_abscissa,
     lu_factor,
     read_mtx,
-    real_schur,
-    schur_eigenvalues,
     spectral_norm,
     sym_eig_dense,
     thin_svd,
@@ -131,38 +129,6 @@ class TestSymEig:
             sym_eig_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-class TestLanczos:
-    def test_matches_dense_on_random_symmetric(self, rng):
-        n = 120
-        m = random_spd(rng, n, spread=1e4) - 3.0 * np.eye(n)
-        w_ref, _ = sym_eig_dense(m)
-        w, u = dominant_sym_eigs(m, n, ell=8)
-        assert np.allclose(w, w_ref[:8], atol=1e-8 * abs(w_ref).max())
-        res = np.linalg.norm(m @ u - u * w, axis=0)
-        assert np.all(res <= 1e-7 * abs(w_ref).max())
-
-    def test_operator_form(self, rng):
-        n = 80
-        m = random_spd(rng, n)
-        w_mat, _ = dominant_sym_eigs(m, n, ell=4)
-        w_op, _ = dominant_sym_eigs(lambda v: m @ v, n, ell=4)
-        assert np.allclose(w_mat, w_op, atol=1e-8 * abs(w_mat).max())
-
-    def test_full_space_small(self, rng):
-        n = 12
-        m = random_spd(rng, n)
-        w, _ = dominant_sym_eigs(m, n, ell=n)
-        w_ref, _ = sym_eig_dense(m)
-        assert np.allclose(w, w_ref, atol=1e-8 * w_ref[0])
-
-    def test_breakdown_restart_on_low_rank(self, rng):
-        # rank-2 operator: Krylov space exhausts after two steps
-        u = random_orthonormal(rng, 60, 2)
-        m = u @ np.diag([5.0, 2.0]) @ u.T
-        w, _ = dominant_sym_eigs(m, 60, ell=4)
-        assert np.allclose(sorted(w[:2])[::-1], [5.0, 2.0], atol=1e-8)
-
-
 class TestThinSVD:
     def test_matches_numpy(self, rng):
         m = rng.standard_normal((50, 12))
@@ -182,9 +148,11 @@ class TestThinSVD:
     def test_rank_deficient_input_keeps_orthonormal_u(self, rng):
         col = rng.standard_normal((20, 1))
         m = np.hstack([col, col, col])
-        u, s = thin_svd(m, 3)
-        assert np.linalg.norm(u.T @ u - np.eye(3), 2) <= 1e-10
-        assert s[1] <= 1e-12 * s[0] and s[2] <= 1e-12 * s[0]
+        # the dense Gram path, then ARPACK's svds, which needs r < 3
+        for config, r in ((DEFAULT, 3), (DEFAULT.with_(svd_gram_max=2), 2)):
+            u, s = thin_svd(m, r, config)
+            assert np.linalg.norm(u.T @ u - np.eye(r), 2) <= 1e-10
+            assert np.all(s[1:] <= 1e-12 * s[0])
 
     def test_orthonormal_for_decaying_spectrum(self, rng):
         # steeply decaying singular values stress the Gram-route accuracy
@@ -195,19 +163,23 @@ class TestThinSVD:
         assert np.linalg.norm(u8.T @ u8 - np.eye(8), 2) <= 1e-10
 
 
-class TestSchur:
-    def test_eigenvalues_match_numpy(self, rng):
-        a = rng.standard_normal((25, 25))
-        _, t = real_schur(a)
-        ev = schur_eigenvalues(t)
-        ref = np.linalg.eigvals(a)
-        assert np.allclose(np.sort_complex(ev), np.sort_complex(ref),
-                           atol=1e-8 * np.abs(ref).max())
+class TestDenseAbscissa:
+    def test_matches_known_spectrum_with_complex_pairs(self, rng):
+        # real blocks with eigenvalues -0.5 +- 3i, 0.2 +- i and -1,
+        # hidden by a random similarity transformation
+        blocks = sla.block_diag([[-0.5, 3.0], [-3.0, -0.5]],
+                                [[0.2, 1.0], [-1.0, 0.2]], [[-1.0]])
+        s = rng.standard_normal((5, 5)) + 5 * np.eye(5)
+        a = s @ blocks @ np.linalg.inv(s)
+        assert abs(dense_abscissa(a) - 0.2) <= 1e-12
+        assert abs(dense_abscissa(a - 0.2 * np.eye(5))) <= 1e-12
 
-    def test_dense_cap(self, rng):
-        cfg = DEFAULT.with_(dense_cap=10)
-        with pytest.raises(DenseCapExceeded):
-            real_schur(rng.standard_normal((11, 11)), cfg)
+    def test_lapack_failure_is_a_convergence_failure(self, monkeypatch):
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(ConvergenceFailure):
+            dense_abscissa(np.eye(3))
 
 
 class TestSpectralNorm:
@@ -223,6 +195,8 @@ class TestSpectralNorm:
         m = sp.random(80, 80, density=0.1, random_state=7, format="csr")
         assert np.isclose(spectral_norm(m), np.linalg.norm(as_dense(m), 2),
                           rtol=1e-7)
+        # a seeded start vector: the same value on every call
+        assert spectral_norm(m) == spectral_norm(m)
 
     def test_zero_matrix(self):
         assert spectral_norm(sp.csr_matrix((5, 5))) == 0.0

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 
 from stabmor import benchgen, stabilize
 from stabmor.config import DEFAULT
-from stabmor.dynsys import LinearSystem, spectral_abscissa
+from stabmor.dynsys import LinearSystem, dense_symmetric_part, spectral_abscissa
 from stabmor.errors import (
     AlreadyDissipative,
     NotIdentityMass,
@@ -25,7 +25,6 @@ from stabmor.stabilize import (
     assemble_stabilizer,
     build_stab_factor_F,
     condition_bound_check,
-    dense_symmetric_part,
     load_stabilizer,
     matrix_sqrt_factor,
     penzl_shifts,
