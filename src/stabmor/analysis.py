@@ -5,16 +5,20 @@ The output error of a stable reduction with zero initial conditions obeys
     sup_t ||y(t) - ybar(t)||_inf  <=  ||H - Hbar||_H2 * ||u||_L2,
 
 so the H2 norm of the transfer-function difference is the quantity both
-experiments report. It is approximated by trapezoidal quadrature on a
-logarithmic frequency grid; every value is returned together with its
-half-resolution estimate so quadrature convergence can be reported.
+experiments report. It is computed exactly, up to rounding, from Gramians:
+one observability Gramian per full-order model (dense below
+``config.dense_cap``, LR-ADI above), a dense one per reduced model, and a
+sparse-dense Sylvester solve for the cross term (see :func:`h2_error`).
+No frequency is sampled; every value comes with a bound on the rounding
+of the three-term sum it is taken from.
 
 Time integration offers an embedded Dormand-Prince 5(4) pair with PI step
 control and a fixed-step trapezoidal rule. Both cost what their arithmetic
 costs on sparse models: a sparse diagonal mass matrix is divided out
 (``LinearSystem.solve_e``), the trapezoid factorizes E - h/2 A in the
 format of E and A, and each integrator holds its state history once, in
-preallocated rows. The Dormand-Prince integrator can harvest every internal
+preallocated rows; the trapezoid can also keep only the current state and
+return outputs alone (``states=False``). The Dormand-Prince integrator can harvest every internal
 stage state as a POD snapshot. Up to ``config.svd_gram_max`` states the
 harvest keeps only the n-by-n Gram matrix of the snapshots, accumulated
 block by block (O(n^2) memory); above it, it keeps the raw n-by-count
@@ -27,12 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .config import DEFAULT, Tolerances
 from .dynsys import LinearSystem, TransferFunction, spectral_abscissa
 from .errors import (
     ConvergenceFailure,
+    DenseCapExceeded,
     FactorizationFailure,
     GridMismatch,
     PoleHit,
@@ -43,12 +49,15 @@ from .errors import (
 from .linalg import Snapshots, as_dense, lu_factor
 from .nonlinear import NonlinearROM, NonlinearSystem
 from .projection import ReducedSystem
+from .stabilize import (
+    _shifted_pencil,
+    solve_lyapunov_dense,
+    solve_lyapunov_lradi,
+)
 
 __all__ = [
-    "FrequencyGrid",
     "H2Result",
     "Trajectory",
-    "frequency_grid",
     "h2_error",
     "bode_data",
     "integrate_adaptive",
@@ -64,113 +73,142 @@ CSV_VERSION = "stabmor-v1"
 
 
 @dataclass(frozen=True)
-class FrequencyGrid:
-    """Positive frequency samples (with the mirrored negative half implied)
-    and the sampled Frobenius norms of a transfer function difference."""
-
-    omegas: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.omegas) <= 0.0):
-            raise ValueError("frequency samples must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("sampled values must be finite")
-
-
-@dataclass(frozen=True)
 class H2Result:
-    """H2 quadrature value with its half-resolution convergence estimate."""
+    """An H2 error with the rounding bound of the sum it comes from.
+
+    ``slack`` bounds |value - exact H2 error| from the error bounds of the
+    terms, before any comparison; see :func:`h2_error`. ``points`` is 0: no frequency is sampled (the field
+    stays because perfbench/spans.py records it).
+    """
 
     value: float
-    half_resolution: float
-    omega_max: float
-    points: int
-
-    @property
-    def slack(self) -> float:
-        """Quadrature slack granted to error-bound comparisons."""
-        return abs(self.value - self.half_resolution) + 1e-6
+    slack: float
+    points: int = 0
 
     def __float__(self):
         return self.value
 
 
-def frequency_grid(omega_max: float, points: int) -> np.ndarray:
-    """Log-spaced grid on [0, omega_max]: zero plus six decades below the top."""
-    if points < 8:
-        raise ValueError("need at least 8 grid points")
-    if omega_max <= 0.0:
-        raise ValueError("omega_max must be positive")
-    grid = np.geomspace(omega_max * 1e-6, omega_max, points - 1)
-    return np.concatenate(([0.0], grid))
-
-
-def _sample_norms(tf_a, tf_b, omegas) -> np.ndarray:
-    def one(omega):
-        h = tf_a.eval(1j * omega)
-        if tf_b is not None:
-            h = h - tf_b.eval(1j * omega)
-        return float(np.linalg.norm(h))
-
-    return np.asarray([one(w) for w in omegas])
-
-
-def _as_transfer(system) -> TransferFunction:
+def _as_system(system) -> LinearSystem:
     if isinstance(system, TransferFunction):
-        return system
+        return system.sys
     if isinstance(system, ReducedSystem):
-        system = system.to_system()
-    return system.transfer()
+        return system.to_system()
+    return system
 
 
-def _stable_abscissa(tf: TransferFunction, config: Tolerances,
-                     label: str) -> float | None:
-    """Spectral abscissa of a stable operand; None above the dense cap."""
-    sys = tf.sys
-    if sys.n > config.dense_cap:
-        # stability of very large operands is the caller's assertion
-        return None
-    alpha = spectral_abscissa(sys, config)
-    if alpha >= 0.0:
-        raise UnstableOperand(
-            f"{label} operand has spectral abscissa {alpha:.3e} >= 0; "
-            "the H2 integral does not exist")
-    return alpha
+# Step budget of the LR-ADI observability Gramian above the dense cap. The
+# iteration stops earlier at config.lradi_residual; running out of steps
+# first is a ConvergenceFailure.
+H2_ADI_STEPS = 500
 
 
-def h2_error(system_a, system_b=None, omega_max: float | None = None,
-             points: int | None = None,
-             config: Tolerances = DEFAULT) -> H2Result:
-    """||H_a - H_b||_H2 by trapezoidal quadrature on a log grid.
+def _squared_norm(sys: LinearSystem, config: Tolerances,
+                  label: str) -> tuple[float, float]:
+    """(||H||_H2^2, a bound on its relative error), once per system object.
 
-    ``system_b=None`` gives the plain H2 norm of ``system_a``. Conjugate
-    symmetry halves the integral to [0, omega_max]; omega_max defaults to
-    the configured multiple of the slowest decay rate (reported in the
-    result so the grid policy is always visible).
+    ||H||^2 = tr(B^T Q B) with A^T Q E + E^T Q A + C^T C = 0. At
+    n <= ``config.dense_cap`` the operand's spectral abscissa must be
+    negative (else :class:`UnstableOperand`; above the cap stability is the
+    caller's assertion), and Q comes from the dense solve, accepted at
+    backward error ``config.lyap_dense_residual``, which is the bound.
+    Above the cap Q ~ Z Z^T is the LR-ADI factor run to the relative
+    residual ``config.lradi_residual``. Z Z^T falls short of Q by a
+    positive semidefinite remainder that the residual does not bound, so
+    that term gets the looser bound sqrt(config.lradi_residual). The pair
+    is kept on the system object, one entry per configuration.
     """
-    tf_a = _as_transfer(system_a)
-    tf_b = None if system_b is None else _as_transfer(system_b)
-    alphas = [_stable_abscissa(tf_a, config, "first")]
-    if tf_b is not None:
-        alphas.append(_stable_abscissa(tf_b, config, "second"))
-    if points is None:
-        points = config.h2_points
-    if omega_max is None:
-        scales = [abs(alpha) for alpha in alphas if alpha is not None]
-        omega_max = config.h2_omega_factor * max(scales + [1e-6])
-    omegas = frequency_grid(omega_max, points)
-    norms = _sample_norms(tf_a, tf_b, omegas)
-    grid = FrequencyGrid(omegas=omegas, values=norms)
+    cache = sys._h2_squared
+    if config in cache:
+        return cache[config]
+    ct = sys.c.T
+    if sys.n <= config.dense_cap:
+        alpha = spectral_abscissa(sys, config)
+        if alpha >= 0.0:
+            raise UnstableOperand(
+                f"{label} operand has spectral abscissa {alpha:.3e} >= 0; "
+                "the H2 integral does not exist")
+        q = solve_lyapunov_dense(sys.a, sys.e, ct @ ct.T, config)
+        cache[config] = (float(np.trace(sys.b.T @ q @ sys.b)),
+                         config.lyap_dense_residual)
+    else:
+        z, history = solve_lyapunov_lradi(sys.a, sys.e, ct,
+                                          steps=H2_ADI_STEPS, config=config)
+        if history[-1] > config.lradi_residual:
+            raise ConvergenceFailure(
+                f"LR-ADI observability Gramian at n = {sys.n} reached "
+                f"relative residual {history[-1]:.3e} > "
+                f"{config.lradi_residual:.1e} in {H2_ADI_STEPS} steps")
+        zb = z.T @ sys.b
+        cache[config] = (float(np.sum(zb * zb)),
+                         float(np.sqrt(config.lradi_residual)))
+    return cache[config]
 
-    def quad(om, vals):
-        integral = np.trapezoid(vals ** 2, om) / np.pi
-        return float(np.sqrt(max(integral, 0.0)))
 
-    value = quad(grid.omegas, grid.values)
-    half = quad(grid.omegas[::2], grid.values[::2])
-    return H2Result(value=value, half_resolution=half,
-                    omega_max=float(omega_max), points=points)
+def _inner_product(sys: LinearSystem, rom: LinearSystem) -> float:
+    """<H, Hr>_H2 = tr(B^T Y Br) with A^T Y Er + E^T Y Ar + C^T Cr = 0.
+
+    With the complex Schur form Er^{-1} Ar = U T U^H and X = Y Er U the
+    equation reads A^T X + E^T X T + C^T Cr U = 0. T is upper triangular,
+    so column j of X solves (A + T_jj E)^T x_j = -(C^T Cr U)_j -
+    E^T X_{:, <j} T_{<j, j}: r shifted solves in the format A and E come
+    in. Then tr(B^T Y Br) = tr((B^T X)(U^H Er^{-1} Br)).
+    """
+    t, u = sla.schur(rom.solve_e(as_dense(rom.a)), output="complex")
+    rhs = -(sys.c.T @ (rom.c @ u))
+    x = np.empty_like(rhs)
+    for j in range(rom.n):
+        col = rhs[:, j]
+        if j:
+            col = col - as_dense(sys.e.T @ (x[:, :j] @ t[:j, j]))
+        shifted = lu_factor(_shifted_pencil(sys.a, sys.e, complex(t[j, j])),
+                            context="H2 cross-Gramian shift")
+        x[:, j] = shifted.solve(col, trans=True)
+    g = u.conj().T @ rom.solve_e(rom.b)
+    return float(np.trace((sys.b.T @ x) @ g).real)
+
+
+def h2_error(system_a, system_b=None,
+             config: Tolerances = DEFAULT) -> H2Result:
+    """||H_a - H_b||_H2 from Gramians; ``system_b=None`` gives ||H_a||_H2.
+
+    The squared error is the three-term sum
+
+        ||H_a - H_b||^2 = ||H_a||^2 + ||H_b||^2 - 2 <H_a, H_b>
+
+    (Gugercin, Antoulas and Beattie, SIMAX 2008). Each squared norm is
+    tr(B^T Q B) with the observability Gramian Q, solved once per system
+    object (:func:`_squared_norm`); the cross term solves a sparse-dense
+    Sylvester equation by one shifted solve per state of the second
+    operand (Sorensen and Antoulas, 2002), whose size must be at most
+    ``config.dense_cap``.
+
+    Rounding: each squared norm carries the relative error bound of
+    :func:`_squared_norm`, and the cross term, from backward-stable LU
+    solves, ``config.lyap_dense_residual``. The computed square s is then
+    within its rounding floor, the sum of these bounds times the magnitudes
+    of the three terms, of the exact square s*; cancellation can leave the
+    square far below its terms. A square at or below its rounding floor is
+    reported as 0, and ``slack`` = sqrt(2 floor) bounds |value - sqrt(s*)|
+    in both cases, since |sqrt(s) - sqrt(s*)| <= sqrt(|s - s*|).
+    """
+    sys_a = _as_system(system_a)
+    norm_a, eta_a = _squared_norm(sys_a, config, "first")
+    if system_b is None:
+        norm_b = cross = eta_b = 0.0
+    else:
+        sys_b = _as_system(system_b)
+        norm_b, eta_b = _squared_norm(sys_b, config, "second")
+        if sys_b.n > config.dense_cap:
+            raise DenseCapExceeded(
+                f"h2_error: second operand n = {sys_b.n} exceeds the dense "
+                f"cap {config.dense_cap}")
+        cross = _inner_product(sys_a, sys_b)
+    square = norm_a + norm_b - 2.0 * cross
+    floor = (eta_a * norm_a + eta_b * norm_b
+             + 2.0 * config.lyap_dense_residual * abs(cross))
+    value = float(np.sqrt(square)) if square > floor else 0.0
+    return H2Result(value=value, slack=float(np.sqrt(2.0 * floor)))
 
 
 def bode_data(system, omega_min: float, omega_max: float,
@@ -181,7 +219,7 @@ def bode_data(system, omega_min: float, omega_max: float,
     and per-entry column pairs otherwise; rows where the evaluation hits a
     pole carry NaN gap markers.
     """
-    tf = _as_transfer(system)
+    tf = _as_system(system).transfer()
     omegas = np.geomspace(omega_min, omega_max, points)
     m = tf.sys.n_out * tf.sys.n_in
     rows = np.empty((points, 1 + 2 * m))
@@ -204,11 +242,14 @@ class Trajectory:
     ``x`` is given as an array, or as a list of row blocks (the adaptive
     integrator's form), which are joined into one array when ``x`` is
     first read; callers that never read ``x`` never pay for the copy.
+    ``x=None`` marks an output-only run, whose ``x`` raises
+    ``AttributeError``.
     """
 
     def __init__(self, t, x, y, stats: dict,
                  snapshots: Snapshots | None = None):
-        rows = (x.shape[0] if isinstance(x, np.ndarray)
+        rows = (t.size if x is None else x.shape[0]
+                if isinstance(x, np.ndarray)
                 else sum(block.shape[0] for block in x))
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("time points must be strictly increasing")
@@ -222,6 +263,10 @@ class Trajectory:
 
     @property
     def x(self) -> np.ndarray:
+        if self._x is None:
+            raise AttributeError(
+                "this trajectory kept no states; integrate with states=True "
+                "to read Trajectory.x")
         if not isinstance(self._x, np.ndarray):
             self._x = np.concatenate(self._x)
         return self._x
@@ -294,7 +339,8 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
                    11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
-# accepted states per row block of the adaptive integrator's history
+# rows per block of a state history (adaptive integrator) and, at most, per
+# output block of the trapezoid rule
 _HISTORY_BLOCK = 1024
 
 
@@ -412,24 +458,61 @@ def integrate_adaptive(system, u, x0, t_span, rtol: float = 1e-6,
                       snapshots=snaps.close() if harvest_snapshots else None)
 
 
-def _trapezoid_forcing(b, u_fun, times, h) -> np.ndarray | None:
-    """Input term h/2 B (u(t_i) + u(t_i+1)) of every step, one row per step.
+def _trapezoid_forcing(b, u_fun, times, h):
+    """Input term h/2 B (u(t_i) + u(t_i+1)) of step i, as a function of i.
 
-    The input is evaluated once per grid point; None without an input.
+    Called for i = 0, 1, ... in order, it evaluates the input once per grid
+    point and keeps only the last product B u; None without an input.
     """
     if u_fun is None:
         return None
-    bu = np.asarray([b @ u_fun(t) for t in times])
-    return 0.5 * h * (bu[:-1] + bu[1:])
+    following = b @ u_fun(times[0])
+
+    def forcing(i):
+        nonlocal following
+        current, following = following, b @ u_fun(times[i + 1])
+        return 0.5 * h * (current + following)
+    return forcing
+
+
+# Values per output block of the trapezoid rule: blocks of _HISTORY_BLOCK
+# rows up to n = 64, fewer rows above, so an output-only run holds O(n)
+_TRAPEZOID_BLOCK_VALUES = 1 << 16
+
+
+def _trapezoid_run(step, x0, steps: int, out, states: bool):
+    """States x_i+1 = step(i, x_i) from x0, and their outputs.
+
+    Outputs are computed per block of rows. With ``states`` the blocks are
+    row ranges of one (steps + 1)-by-n array, which is returned; without,
+    they are one reused buffer and None is returned. The blocks have the
+    same shapes either way, so the outputs are bitwise the same. Returns
+    ``(states or None, outputs)``.
+    """
+    rows = min(steps + 1, _HISTORY_BLOCK,
+               max(1, _TRAPEZOID_BLOCK_VALUES // x0.size))
+    xs = np.empty((steps + 1, x0.size)) if states else None
+    buffer = None if states else np.empty((rows, x0.size))
+    ys = []
+    x = x0
+    for start in range(0, steps + 1, rows):
+        stop = min(start + rows, steps + 1)
+        block = xs[start:stop] if states else buffer[:stop - start]
+        for i in range(start, stop):
+            if i:
+                x = step(i - 1, x)
+            block[i - start] = x
+        ys.append(out(block))
+    return xs, np.concatenate(ys)
 
 
 def integrate_trapezoidal(system, u, x0, t_span, steps: int,
                           newton_tol: float = 1e-10,
-                          max_newton: int = 25) -> Trajectory:
+                          max_newton: int = 25, *,
+                          states: bool = True) -> Trajectory:
     """Fixed-step trapezoidal rule.
 
-    The input is evaluated once per grid point, and the states are written
-    into one preallocated (steps + 1)-by-n array. Linear systems factorize
+    The input is evaluated once per grid point. Linear systems factorize
     E - h/2 A once, in the format E and A come in. When both are sparse,
     every step multiplies by E + h/2 A (formed once) and solves with the
     SuperLU factors, so time and memory stay O(nnz) per step. Otherwise
@@ -440,6 +523,12 @@ def integrate_trapezoidal(system, u, x0, t_span, steps: int,
     refreshed at every iterate. E is densified once per nonlinear
     integration, since the Newton matrix E - h/2 J is factorized densely
     anyway.
+
+    With ``states`` (the default) every state is kept, in one
+    (steps + 1)-by-n array. ``states=False`` keeps only the current state
+    and one block of at most 2^16 values for the outputs, and the returned
+    trajectory has no ``x``. The outputs come from blocks of the same rows
+    in both cases and are bitwise equal.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -477,14 +566,16 @@ def integrate_trapezoidal(system, u, x0, t_span, steps: int,
             raise FactorizationFailure(str(exc)) from exc
         forcing = _trapezoid_forcing(system.b, _normalize_input(u, system.n_in),
                                      times, h)
-        xs = np.empty((steps + 1, system.n))
-        xs[0] = x0
-        for i in range(steps):
-            r = explicit_half(xs[i])
+
+        def linear_step(i, x):
+            r = explicit_half(x)
             if forcing is not None:
-                r += forcing[i]
-            xs[i + 1] = lhs.solve(r)
-        return Trajectory(t=times, x=xs, y=xs @ system.c.T,
+                r += forcing(i)
+            return lhs.solve(r)
+
+        xs, ys = _trapezoid_run(linear_step, x0, steps,
+                                _output_map(system.c), states)
+        return Trajectory(t=times, x=xs, y=ys,
                           stats={"steps": steps, "rejected_steps": 0,
                                  "stage_count": steps})
 
@@ -493,18 +584,15 @@ def integrate_trapezoidal(system, u, x0, t_span, steps: int,
         e = as_dense(system.ebar if rom else system.e)
         f, jac = system.f, system.jac
         b = system.bbar if rom else system.b
-        cmat = system.cbar if rom else system.c
-        n = system.r if rom else system.n
         forcing = _trapezoid_forcing(
             b, _normalize_input(u, 0 if b is None else b.shape[1]), times, h)
-        x = np.asarray(x0, dtype=float).copy()
-        xs = np.empty((steps + 1, n))
-        xs[0] = x
         newton_total = 0
-        for i in range(steps):
+
+        def newton_step(i, x):
+            nonlocal newton_total
             base = e @ x + 0.5 * h * np.asarray(f(x), dtype=float)
             if forcing is not None:
-                base = base + forcing[i]
+                base = base + forcing(i)
             x_new = x.copy()
             for it in range(max_newton):
                 res = e @ x_new - 0.5 * h * np.asarray(f(x_new), dtype=float) - base
@@ -517,14 +605,14 @@ def integrate_trapezoidal(system, u, x0, t_span, steps: int,
                 x_new = x_new - delta
                 newton_total += 1
                 if np.linalg.norm(delta) <= newton_tol * (1.0 + np.linalg.norm(x_new)):
-                    break
-            else:
-                raise ConvergenceFailure(
-                    f"Newton iteration stalled at t = {times[i + 1]:.6e}")
-            x = x_new
-            xs[i + 1] = x
-        ys = (xs @ cmat.T if cmat is not None
-              else np.zeros((steps + 1, 0)))
+                    return x_new
+            raise ConvergenceFailure(
+                f"Newton iteration stalled at t = {times[i + 1]:.6e}")
+
+        xs, ys = _trapezoid_run(newton_step,
+                                np.asarray(x0, dtype=float).copy(), steps,
+                                _output_map(system.cbar if rom else system.c),
+                                states)
         return Trajectory(t=times, x=xs, y=ys,
                           stats={"steps": steps, "rejected_steps": 0,
                                  "stage_count": newton_total})

@@ -33,6 +33,8 @@ __all__ = ["main", "RunConfig"]
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
+# default top of the analyze Bode grid, in multiples of |spectral abscissa|
+BODE_OMEGA_FACTOR = 1e3
 
 
 @dataclasses.dataclass
@@ -51,7 +53,6 @@ class RunConfig:
     input_spec: str = "step"
     horizon: float = 10.0
     integrator: str = "trapezoid:1000"
-    h2_points: int = DEFAULT.h2_points
     omega_max: float | None = None
     omega_min: float | None = None
     points: int | None = None
@@ -213,7 +214,6 @@ def cmd_reduce(args) -> int:
                        stabilize=args.stabilize, delta=args.delta, adi=adi,
                        input_spec=args.input, horizon=args.horizon,
                        integrator=f"trapezoid:{args.trapz_steps}",
-                       h2_points=args.h2_points, omega_max=args.omega_max,
                        out=str(out_dir), seed=args.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -237,7 +237,8 @@ def cmd_reduce(args) -> int:
     fom_traj = analysis.integrate_trapezoidal(system, input_fun,
                                               np.zeros(system.n),
                                               (0.0, args.horizon),
-                                              steps=args.trapz_steps)
+                                              steps=args.trapz_steps,
+                                              states=False)
     rows = []
     failures = 0
     roms_dir = out_dir / "roms"
@@ -273,15 +274,13 @@ def cmd_reduce(args) -> int:
             else:
                 deliver_alpha = (alpha_stab if args.stabilize else alpha_conv)
                 if deliver_alpha is not None and deliver_alpha < 0.0:
-                    h2 = analysis.h2_error(system, deliver,
-                                           omega_max=args.omega_max,
-                                           points=args.h2_points, config=tol)
-                    row.append(h2.value)
+                    row.append(analysis.h2_error(system, deliver,
+                                                 config=tol).value)
                 else:
                     row.append(None)  # H2 undefined for unstable models
                 rom_traj = analysis.integrate_trapezoidal(
                     deliver, input_fun, np.zeros(r), (0.0, args.horizon),
-                    steps=args.trapz_steps)
+                    steps=args.trapz_steps, states=False)
                 max_err, _ = analysis.output_error(fom_traj, rom_traj)
                 row.append(max_err)
         except StabmorError as exc:
@@ -322,7 +321,8 @@ def cmd_simulate(args) -> int:
     if kind == "trapezoid":
         steps = int(arg) if arg else 1000
         traj = analysis.integrate_trapezoidal(target, input_fun, x0,
-                                              (0.0, args.horizon), steps=steps)
+                                              (0.0, args.horizon), steps=steps,
+                                              states=False)
     elif kind == "adaptive":
         rtol = float(arg) if arg else 1e-6
         traj = analysis.integrate_adaptive(target, input_fun, x0,
@@ -354,7 +354,7 @@ def cmd_analyze(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     omega_max = args.omega_max
     if omega_max is None:
-        omega_max = DEFAULT.h2_omega_factor * max(
+        omega_max = BODE_OMEGA_FACTOR * max(
             abs(spectral_abscissa(system)), 1e-6)
     omega_min = (args.omega_min if args.omega_min is not None
                  else omega_max * 1e-6)
@@ -378,12 +378,10 @@ def cmd_analyze(args) -> int:
         other, other_nl, _ = _load_bundle(args.compare)
         if other_nl is not None:
             raise ValueError("analyze operates on linear bundles")
-        h2 = analysis.h2_error(system, other, omega_max=args.omega_max)
-        extra["h2_error"] = {"value": h2.value,
-                             "half_resolution": h2.half_resolution,
-                             "omega_max": h2.omega_max, "points": h2.points}
+        h2 = analysis.h2_error(system, other)
+        extra["h2_error"] = {"value": h2.value, "slack": h2.slack}
         print(f"h2 error vs {args.compare}: {h2.value:.6e} "
-              f"(half-resolution {h2.half_resolution:.6e})")
+              f"(rounding bound {h2.slack:.1e})")
     _write_report(out_dir, config, extra)
     print(f"wrote {out_dir / 'bode.csv'}")
     return 0
@@ -447,8 +445,6 @@ def _build_parser() -> argparse.ArgumentParser:
     red.add_argument("--input", default="step")
     red.add_argument("--horizon", type=float, default=10.0)
     red.add_argument("--trapz-steps", type=int, default=1000)
-    red.add_argument("--h2-points", type=int, default=DEFAULT.h2_points)
-    red.add_argument("--omega-max", type=float, default=None)
     red.add_argument("--out", required=True)
     red.add_argument("--seed", type=int, default=0)
 

@@ -39,9 +39,6 @@ class Tolerances:
     delta: float = 1.0
     # equilibrium verification, relative to problem scale
     equilibrium_residual: float = 1e-10
-    # frequency-grid defaults for the H2 quadrature
-    h2_points: int = 2000
-    h2_omega_factor: float = 1e3
 
     def with_(self, **kwargs) -> "Tolerances":
         return replace(self, **kwargs)

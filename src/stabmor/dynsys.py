@@ -102,7 +102,9 @@ class LinearSystem:
             self.e_lu = lu_factor(e, context="mass matrix")
         except SingularMatrix as exc:
             raise SingularE(str(exc)) from exc
-        self._at_lu = None
+        # squared H2 norm and its error bound per configuration, filled by
+        # analysis.h2_error
+        self._h2_squared: dict = {}
 
     @property
     def descriptor(self) -> bool:

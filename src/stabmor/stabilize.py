@@ -95,11 +95,15 @@ class StabFactorRHS:
 def _nonnegative_eigenpairs(sys: LinearSystem, config: Tolerances, seed: int):
     """Symmetric-part spectrum with enough pairs to bound k from above.
 
-    The requested count grows geometrically until a negative eigenvalue
+    At n <= ``config.dense_cap`` one LAPACK ``eigh`` returns every pair at
+    the cost of any leading few, so all n are requested at once. Above the
+    cap the requested count grows geometrically until a negative eigenvalue
     shows up (or the full spectrum is computed). The symmetric part of a
     stable system has negative trace, so a negative eigenvalue exists and
     the loop terminates.
     """
+    if sys.n <= config.dense_cap:
+        return symmetric_part_spectrum(sys, sys.n, config, seed=seed)
     k_est = 1
     while True:
         ell = min(sys.n, max(2 * k_est, 16))

@@ -11,10 +11,8 @@ import scipy.sparse as sp
 from stabmor import analysis, benchgen
 from stabmor.analysis import (
     CSV_VERSION,
-    FrequencyGrid,
     Trajectory,
     bode_data,
-    frequency_grid,
     h2_error,
     input_l2_norm,
     integrate_adaptive,
@@ -26,6 +24,7 @@ from stabmor.analysis import (
 from stabmor.config import DEFAULT
 from stabmor.dynsys import LinearSystem, spectral_abscissa
 from stabmor.errors import (
+    ConvergenceFailure,
     FactorizationFailure,
     GridMismatch,
     StepSizeUnderflow,
@@ -34,12 +33,17 @@ from stabmor.errors import (
 from stabmor.linalg import SNAPSHOT_BLOCK, as_dense
 from stabmor.nonlinear import NonlinearSystem, linearize, nonlinear_reduce
 from stabmor.projection import (
+    ProjectionBasis,
     arnoldi_basis,
     external_basis,
     galerkin_reduce,
     pod_basis,
 )
-from stabmor.stabilize import assemble_stabilizer, stabilized_reduce
+from stabmor.stabilize import (
+    assemble_stabilizer,
+    solve_lyapunov_dense,
+    stabilized_reduce,
+)
 from tests.conftest import cubic_msd_block_jacobian
 
 
@@ -47,6 +51,46 @@ def scalar_lag() -> LinearSystem:
     """H(s) = 1/(s+1): the analytic H2 norm is sqrt(1/2)."""
     return LinearSystem(np.eye(1), -np.eye(1), np.ones((1, 1)),
                         np.ones((1, 1)))
+
+
+def error_gramian_h2(full, rom) -> float:
+    """||H - Hr||_H2 from the controllability Gramian of the error system.
+
+    Written out densely here, independently of the library's three-term
+    sum: standard forms of both models, their block-diagonal error system
+    and one Bartels-Stewart solve of its Lyapunov equation.
+    """
+    def standard(sys):
+        e = as_dense(sys.e)
+        return (np.linalg.solve(e, as_dense(sys.a)),
+                np.linalg.solve(e, sys.b), sys.c)
+
+    a1, b1, c1 = standard(full)
+    a2, b2, c2 = standard(rom)
+    a = sla.block_diag(a1, a2)
+    b = np.vstack([b1, b2])
+    c = np.hstack([c1, -c2])
+    p = sla.solve_continuous_lyapunov(a, -b @ b.T)
+    return float(np.sqrt(max(np.trace(c @ p @ c.T), 0.0)))
+
+
+def sub_basis(basis, r):
+    return ProjectionBasis(v=basis.v[:, :r], method=basis.method,
+                           details=basis.details)
+
+
+@pytest.fixture(scope="module")
+def convdiff400_pod_models():
+    """The convdiff400 benchmark's models: POD r = 1..12, LR-ADI factor of
+    200 steps over 40 shifts."""
+    fom = benchgen.gen_convection_diffusion(n=400)
+    snapshots = integrate_adaptive(fom, make_input("step"), np.zeros(400),
+                                   (0.0, 2.0), harvest_snapshots=True).snapshots
+    basis = pod_basis(snapshots, 12)
+    stab = assemble_stabilizer(fom, mode="lradi", steps=200,
+                               config=DEFAULT.with_(lradi_num_shifts=40))
+    return fom, [stabilized_reduce(fom, sub_basis(basis, r), stab)
+                 for r in range(1, basis.r + 1)]
 
 
 class TestH2Error:
@@ -57,10 +101,8 @@ class TestH2Error:
 
     def test_first_order_lag_analytic_value(self):
         res = h2_error(scalar_lag())
-        assert abs(res.value - np.sqrt(0.5)) <= 1e-3
-        # the grid policy must be visible in the result
-        assert res.omega_max == pytest.approx(1000.0)
-        assert res.points == 2000
+        assert abs(res.value - np.sqrt(0.5)) <= 1e-12
+        assert res.points == 0
         assert float(res) == res.value
 
     def test_unstable_operand_rejected(self):
@@ -81,23 +123,77 @@ class TestH2Error:
             return spectral_abscissa(system)
 
         monkeypatch.setattr(analysis, "spectral_abscissa", counted)
-        res = h2_error(sys, rom)
+        h2_error(sys, rom)
         assert sorted(calls) == [3, 8]
-        expected = 1e3 * max(abs(spectral_abscissa(sys)),
-                             abs(spectral_abscissa(rom.to_system())))
-        assert res.omega_max == expected
 
-    def test_quadrature_second_order_convergence(self):
-        deltas = []
-        for pts in (250, 500, 1000):
-            res = h2_error(scalar_lag(), points=pts)
-            deltas.append(abs(res.value - res.half_resolution))
-        ratios = [deltas[i] / deltas[i + 1] for i in range(2)]
-        assert all(3.0 <= r <= 6.0 for r in ratios), ratios
+    def test_full_order_gramian_solved_once_per_system(self, monkeypatch):
+        sys = benchgen.gen_msd_chain(masses=10)
+        basis = arnoldi_basis(sys, 6, s0=1.0)
+        sizes = []
 
-    def test_slack_covers_refinement_delta(self):
-        res = h2_error(scalar_lag(), points=400)
-        assert res.slack >= abs(res.value - res.half_resolution) + 1e-6
+        def counted(a, e, f, config=DEFAULT):
+            sizes.append(a.shape[0])
+            return solve_lyapunov_dense(a, e, f, config)
+
+        monkeypatch.setattr(analysis, "solve_lyapunov_dense", counted)
+        first = h2_error(sys, galerkin_reduce(sys, sub_basis(basis, 4)))
+        h2_error(sys, galerkin_reduce(sys, sub_basis(basis, 6)))
+        assert sizes == [20, 4, 6]
+        # a new configuration is a new entry
+        again = h2_error(sys, galerkin_reduce(sys, sub_basis(basis, 4)),
+                         config=DEFAULT.with_(sym_check=1e-11))
+        assert sizes == [20, 4, 6, 20, 4]
+        assert again.value == first.value
+
+    def test_msd30_arnoldi_models_match_error_gramian(self):
+        sys = benchgen.gen_msd_chain(masses=30)
+        stab = assemble_stabilizer(sys, mode="dense")
+        basis = arnoldi_basis(sys, 20, s0=1.0)
+        for r in range(1, 21):
+            rom = stabilized_reduce(sys, sub_basis(basis, r), stab)
+            res = h2_error(sys, rom)
+            want = error_gramian_h2(sys, rom.to_system())
+            assert abs(res.value - want) <= 1e-10 * want, r
+            assert abs(res.value - want) <= res.slack, r
+
+    def test_convdiff400_pod_models_match_error_gramian(
+            self, convdiff400_pod_models):
+        fom, roms = convdiff400_pod_models
+        assert [rom.r for rom in roms] == list(range(1, 13))
+        for rom in roms:
+            res = h2_error(fom, rom)
+            want = error_gramian_h2(fom, rom.to_system())
+            assert abs(res.value - want) <= 1e-10 * want, rom.r
+            assert abs(res.value - want) <= res.slack, rom.r
+
+    def test_exact_reduction_is_zero_within_slack(self):
+        # r = n: the reduced model is the full model in other coordinates;
+        # its squared error sits at the rounding floor of the three terms
+        sys = benchgen.gen_msd_chain(masses=10)
+        rom = stabilized_reduce(sys, arnoldi_basis(sys, 20, s0=1.0),
+                                assemble_stabilizer(sys, mode="dense"))
+        assert rom.r == sys.n
+        res = h2_error(sys, rom)
+        want = error_gramian_h2(sys, rom.to_system())
+        assert abs(res.value - want) <= res.slack
+        assert res.slack <= 1e-5 * h2_error(sys).value
+
+    def test_lradi_branch_above_the_cap_matches_dense(
+            self, convdiff400_pod_models):
+        fom, roms = convdiff400_pod_models
+        above = DEFAULT.with_(dense_cap=100, lradi_residual=1e-14)
+        for rom in roms:
+            dense = h2_error(fom, rom)
+            lradi = h2_error(fom, rom, config=above)
+            assert abs(lradi.value - dense.value) <= 1e-8 * dense.value, rom.r
+            assert abs(lradi.value - dense.value) <= lradi.slack, rom.r
+
+    def test_lradi_branch_stopping_short_raises(self, monkeypatch):
+        monkeypatch.setattr(analysis, "H2_ADI_STEPS", 3)
+        fom = benchgen.gen_convection_diffusion(n=200)
+        with pytest.raises(ConvergenceFailure, match="in 3 steps"):
+            h2_error(fom, config=DEFAULT.with_(dense_cap=100))
+        assert fom._h2_squared == {}
 
     def test_arnoldi_sweep_trend_decreases(self):
         sys = benchgen.gen_msd_chain(masses=10)
@@ -111,33 +207,6 @@ class TestH2Error:
         assert values[-1] < 0.1 * values[0]
         slope = np.polyfit(orders, np.log10(values), 1)[0]
         assert slope < 0.0
-
-    def test_explicit_grid_override(self):
-        res = h2_error(scalar_lag(), omega_max=500.0, points=800)
-        assert res.omega_max == 500.0 and res.points == 800
-        assert abs(res.value - np.sqrt(0.5)) <= 2e-3
-
-
-class TestFrequencyGrid:
-    def test_grid_shape_and_monotonicity(self):
-        grid = frequency_grid(100.0, 50)
-        assert grid[0] == 0.0 and grid[-1] == pytest.approx(100.0)
-        assert np.all(np.diff(grid) > 0.0)
-        assert grid.size == 50
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            frequency_grid(100.0, 4)
-        with pytest.raises(ValueError):
-            frequency_grid(-1.0, 50)
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            FrequencyGrid(omegas=np.array([1.0, 1.0]),
-                          values=np.array([0.0, 0.0]))
-        with pytest.raises(ValueError):
-            FrequencyGrid(omegas=np.array([1.0, 2.0]),
-                          values=np.array([0.0, np.inf]))
 
 
 class TestErrorBound:
@@ -393,6 +462,63 @@ class TestLinearTrapezoid:
         with pytest.raises(ValueError):
             integrate_trapezoidal(benchgen.gen_convection_diffusion(n=10),
                                   None, np.zeros(1), (0.0, 1.0), steps=10)
+
+
+class TestOutputOnlyTrapezoid:
+    """``states=False`` keeps the current state only, with the same outputs."""
+
+    @staticmethod
+    def both(system, u, x0, t1, steps):
+        full = integrate_trapezoidal(system, u, x0, (0.0, t1), steps=steps)
+        lean = integrate_trapezoidal(system, u, x0, (0.0, t1), steps=steps,
+                                     states=False)
+        np.testing.assert_array_equal(lean.t, full.t)
+        assert lean.stats == full.stats
+        return full, lean
+
+    def test_sparse_convdiff_outputs_bitwise_equal(self):
+        # 400 states per row: the outputs come in several blocks
+        sys = benchgen.gen_convection_diffusion(n=400)
+        full, lean = self.both(sys, make_input("step"), np.zeros(400), 2.0,
+                               1000)
+        np.testing.assert_array_equal(lean.y, full.y)
+        np.testing.assert_array_equal(full.y, full.x @ sys.c.T)
+
+    def test_dense_rom_outputs_bitwise_equal(self):
+        fom = benchgen.gen_msd_chain(masses=30)
+        rom = stabilized_reduce(fom, arnoldi_basis(fom, 12),
+                                assemble_stabilizer(fom, mode="dense"))
+        full, lean = self.both(rom, make_input("sine", period=2.0),
+                               np.zeros(12), 10.0, 1000)
+        np.testing.assert_array_equal(lean.y, full.y)
+
+    def test_newton_branch_outputs_bitwise_equal(self):
+        cubic = benchgen.gen_cubic_msd(masses=30)
+        full, lean = self.both(cubic, make_input("sine", period=4.0),
+                               np.zeros(60), 10.0, 400)
+        assert full.stats["stage_count"] > 400
+        np.testing.assert_array_equal(lean.y, full.y)
+
+    def test_reading_states_raises(self):
+        lean = integrate_trapezoidal(scalar_lag(), None, np.array([1.0]),
+                                     (0.0, 1.0), steps=10, states=False)
+        assert lean.y.shape == (11, 1)
+        with pytest.raises(AttributeError, match="states=True"):
+            lean.x
+
+    def test_memory_stays_below_a_tenth_of_the_states(self):
+        n, steps = 4000, 1000
+        sys = benchgen.gen_convection_diffusion(n=n)
+        u = make_input("step")
+        tracemalloc.start()
+        try:
+            traj = integrate_trapezoidal(sys, u, np.zeros(n), (0.0, 2.0),
+                                         steps=steps, states=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.y.shape == (steps + 1, 1)
+        assert peak < 0.1 * (steps + 1) * n * 8, peak
 
 
 class TestTrapezoidalIntegrator:

@@ -11,7 +11,12 @@ import scipy.sparse as sp
 
 from stabmor import benchgen, stabilize
 from stabmor.config import DEFAULT
-from stabmor.dynsys import LinearSystem, dense_symmetric_part, spectral_abscissa
+from stabmor.dynsys import (
+    LinearSystem,
+    dense_symmetric_part,
+    spectral_abscissa,
+    symmetric_part_spectrum,
+)
 from stabmor.errors import (
     AlreadyDissipative,
     NotIdentityMass,
@@ -110,6 +115,25 @@ class TestBuildStabFactor:
             scale = abs(mu[0]) + rhs.delta
             assert np.allclose(np.sort(got), np.sort(expected),
                                atol=1e-8 * scale)
+
+    def test_one_eigensolve_below_the_cap(self, monkeypatch):
+        sys = benchgen.gen_nonnormal_stable(n=300, kappa=50.0, seed=0)
+        requested = []
+
+        def counted(system, ell, config=DEFAULT, seed=0):
+            requested.append(ell)
+            return symmetric_part_spectrum(system, ell, config, seed=seed)
+
+        monkeypatch.setattr(stabilize, "symmetric_part_spectrum", counted)
+        rhs = build_stab_factor_F(sys)
+        assert requested == [300]
+        assert rhs.k == 54
+        # above the cap the request still doubles until a negative
+        # eigenvalue shows up, and finds the same k
+        requested.clear()
+        above = build_stab_factor_F(sys, config=DEFAULT.with_(dense_cap=299))
+        assert requested == [16, 32, 64]
+        assert above.k == rhs.k
 
     def test_f_positive_definite_nonnormal_200(self):
         sys = benchgen.gen_nonnormal_stable(n=200, kappa=50.0, seed=3)
