@@ -28,6 +28,7 @@ snapshot matrix (O(n count)), which the ARPACK path of the thin SVD needs
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -459,20 +460,21 @@ def integrate_adaptive(system, u, x0, t_span, rtol: float = 1e-6,
 
 
 def _trapezoid_forcing(b, u_fun, times, h):
-    """Input term h/2 B (u(t_i) + u(t_i+1)) of step i, as a function of i.
+    """Input terms h/2 B (u(t_i) + u(t_i+1)) of the steps i0 <= i < i1.
 
-    Called for i = 0, 1, ... in order, it evaluates the input once per grid
-    point and keeps only the last product B u; None without an input.
+    Returns a function of (i0, i1), called for consecutive ranges, which
+    evaluates the input once per grid point; None without an input.
     """
     if u_fun is None:
         return None
-    following = b @ u_fun(times[0])
+    last = b @ u_fun(times[0])
 
-    def forcing(i):
-        nonlocal following
-        current, following = following, b @ u_fun(times[i + 1])
-        return 0.5 * h * (current + following)
-    return forcing
+    def terms(i0, i1):
+        nonlocal last
+        bu = np.asarray([last] + [b @ u_fun(t) for t in times[i0 + 1:i1 + 1]])
+        last = bu[-1]
+        return 0.5 * h * (bu[:-1] + bu[1:])
+    return terms
 
 
 # Values per output block of the trapezoid rule: blocks of _HISTORY_BLOCK
@@ -480,10 +482,11 @@ def _trapezoid_forcing(b, u_fun, times, h):
 _TRAPEZOID_BLOCK_VALUES = 1 << 16
 
 
-def _trapezoid_run(step, x0, steps: int, out, states: bool):
-    """States x_i+1 = step(i, x_i) from x0, and their outputs.
+def _trapezoid_run(step, x0, steps: int, out, forcing, states: bool):
+    """States x_i+1 = step(x_i, input term of step i) from x0, and outputs.
 
-    Outputs are computed per block of rows. With ``states`` the blocks are
+    States, input terms (from :func:`_trapezoid_forcing`, or None) and
+    outputs are formed per block of rows. With ``states`` the blocks are
     row ranges of one (steps + 1)-by-n array, which is returned; without,
     they are one reused buffer and None is returned. The blocks have the
     same shapes either way, so the outputs are bitwise the same. Returns
@@ -498,10 +501,14 @@ def _trapezoid_run(step, x0, steps: int, out, states: bool):
     for start in range(0, steps + 1, rows):
         stop = min(start + rows, steps + 1)
         block = xs[start:stop] if states else buffer[:stop - start]
-        for i in range(start, stop):
-            if i:
-                x = step(i - 1, x)
-            block[i - start] = x
+        if start == 0:
+            block[0] = x0
+        first = max(start, 1)
+        terms = (itertools.repeat(None) if forcing is None
+                 else forcing(first - 1, stop - 1))
+        for i, term in zip(range(first - start, stop - start), terms):
+            x = step(x, term)
+            block[i] = x
         ys.append(out(block))
     return xs, np.concatenate(ys)
 
@@ -567,14 +574,14 @@ def integrate_trapezoidal(system, u, x0, t_span, steps: int,
         forcing = _trapezoid_forcing(system.b, _normalize_input(u, system.n_in),
                                      times, h)
 
-        def linear_step(i, x):
+        def linear_step(x, term):
             r = explicit_half(x)
-            if forcing is not None:
-                r += forcing(i)
+            if term is not None:
+                r += term
             return lhs.solve(r)
 
         xs, ys = _trapezoid_run(linear_step, x0, steps,
-                                _output_map(system.c), states)
+                                _output_map(system.c), forcing, states)
         return Trajectory(t=times, x=xs, y=ys,
                           stats={"steps": steps, "rejected_steps": 0,
                                  "stage_count": steps})
@@ -586,13 +593,13 @@ def integrate_trapezoidal(system, u, x0, t_span, steps: int,
         b = system.bbar if rom else system.b
         forcing = _trapezoid_forcing(
             b, _normalize_input(u, 0 if b is None else b.shape[1]), times, h)
-        newton_total = 0
+        newton_total = taken = 0
 
-        def newton_step(i, x):
-            nonlocal newton_total
+        def newton_step(x, term):
+            nonlocal newton_total, taken
             base = e @ x + 0.5 * h * np.asarray(f(x), dtype=float)
-            if forcing is not None:
-                base = base + forcing(i)
+            if term is not None:
+                base = base + term
             x_new = x.copy()
             for it in range(max_newton):
                 res = e @ x_new - 0.5 * h * np.asarray(f(x_new), dtype=float) - base
@@ -605,14 +612,15 @@ def integrate_trapezoidal(system, u, x0, t_span, steps: int,
                 x_new = x_new - delta
                 newton_total += 1
                 if np.linalg.norm(delta) <= newton_tol * (1.0 + np.linalg.norm(x_new)):
+                    taken += 1
                     return x_new
             raise ConvergenceFailure(
-                f"Newton iteration stalled at t = {times[i + 1]:.6e}")
+                f"Newton iteration stalled at t = {times[taken + 1]:.6e}")
 
         xs, ys = _trapezoid_run(newton_step,
                                 np.asarray(x0, dtype=float).copy(), steps,
                                 _output_map(system.cbar if rom else system.c),
-                                states)
+                                forcing, states)
         return Trajectory(t=times, x=xs, y=ys,
                           stats={"steps": steps, "rejected_steps": 0,
                                  "stage_count": newton_total})

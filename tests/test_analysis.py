@@ -477,12 +477,15 @@ class TestOutputOnlyTrapezoid:
         return full, lean
 
     def test_sparse_convdiff_outputs_bitwise_equal(self):
-        # 400 states per row: the outputs come in several blocks
+        # 400 states per row: states, input terms and outputs come in
+        # several blocks, which must join up into the one-step recurrence
         sys = benchgen.gen_convection_diffusion(n=400)
-        full, lean = self.both(sys, make_input("step"), np.zeros(400), 2.0,
-                               1000)
+        u = make_input("sine", period=0.3)
+        full, lean = self.both(sys, u, np.zeros(400), 2.0, 1000)
         np.testing.assert_array_equal(lean.y, full.y)
         np.testing.assert_array_equal(full.y, full.x @ sys.c.T)
+        want = dense_trapezoid_reference(sys, u, np.zeros(400), 2.0, 1000)
+        assert relative_gap(full.y, want) <= 1e-11
 
     def test_dense_rom_outputs_bitwise_equal(self):
         fom = benchgen.gen_msd_chain(masses=30)
