@@ -18,12 +18,12 @@ costs on sparse models: a sparse diagonal mass matrix is divided out
 (``LinearSystem.solve_e``), the trapezoid factorizes E - h/2 A in the
 format of E and A, and each integrator holds its state history once, in
 preallocated rows; the trapezoid can also keep only the current state and
-return outputs alone (``states=False``). The Dormand-Prince integrator can harvest every internal
-stage state as a POD snapshot. Up to ``config.svd_gram_max`` states the
-harvest keeps only the n-by-n Gram matrix of the snapshots, accumulated
-block by block (O(n^2) memory); above it, it keeps the raw n-by-count
-snapshot matrix (O(n count)), which the ARPACK path of the thin SVD needs
-(see ``linalg.Snapshots``).
+return outputs alone (``states=False``). The Dormand-Prince integrator can
+harvest every internal stage state as a POD snapshot. Up to
+``config.svd_gram_max`` states the harvest keeps only the n-by-n Gram
+matrix of the snapshots, accumulated block by block (O(n^2) memory); above
+it, it keeps the raw n-by-count snapshot matrix (O(n count)), which the
+ARPACK path of the thin SVD needs (see ``linalg.Snapshots``).
 """
 
 from __future__ import annotations
@@ -78,8 +78,9 @@ class H2Result:
     """An H2 error with the rounding bound of the sum it comes from.
 
     ``slack`` bounds |value - exact H2 error| from the error bounds of the
-    terms, before any comparison; see :func:`h2_error`. ``points`` is 0: no frequency is sampled (the field
-    stays because perfbench/spans.py records it).
+    terms, before any comparison; see :func:`h2_error`. ``points`` is 0,
+    since no frequency is sampled; the field stays because
+    perfbench/spans.py records it.
     """
 
     value: float
