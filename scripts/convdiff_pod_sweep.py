@@ -62,8 +62,8 @@ def main() -> int:
                                 details=basis_full.details)
         conv = galerkin_reduce(system, basis)
         red = stabilize.stabilized_reduce(system, basis, stab)
-        alpha_conv = spectral_abscissa(conv.to_system())
-        alpha_stab = spectral_abscissa(red.to_system())
+        alpha_conv = spectral_abscissa(conv)
+        alpha_stab = spectral_abscissa(red)
         rom_traj = analysis.integrate_trapezoidal(red, u, np.zeros(r),
                                                   (0.0, args.horizon),
                                                   steps=args.trapz_steps,

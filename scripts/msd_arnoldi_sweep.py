@@ -40,8 +40,8 @@ def main() -> int:
                                 details=basis_full.details)
         conv = galerkin_reduce(system, basis)
         red = stabilize.stabilized_reduce(system, basis, stab)
-        alpha_conv = spectral_abscissa(conv.to_system())
-        alpha_stab = spectral_abscissa(red.to_system())
+        alpha_conv = spectral_abscissa(conv)
+        alpha_stab = spectral_abscissa(red)
         h2_conv = (analysis.h2_error(system, conv).value
                    if alpha_conv < 0.0 else None)
         h2_stab = analysis.h2_error(system, red).value

@@ -36,7 +36,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .config import DEFAULT, Tolerances
-from .dynsys import LinearSystem, TransferFunction, spectral_abscissa
+from .dynsys import DescriptorModel, LinearSystem, spectral_abscissa
 from .errors import (
     ConvergenceFailure,
     DenseCapExceeded,
@@ -48,8 +48,6 @@ from .errors import (
     UnstableOperand,
 )
 from .linalg import Snapshots, as_dense, lu_factor
-from .nonlinear import NonlinearROM, NonlinearSystem
-from .projection import ReducedSystem
 from .stabilize import (
     _shifted_pencil,
     solve_lyapunov_dense,
@@ -89,14 +87,6 @@ class H2Result:
 
     def __float__(self):
         return self.value
-
-
-def _as_system(system) -> LinearSystem:
-    if isinstance(system, TransferFunction):
-        return system.sys
-    if isinstance(system, ReducedSystem):
-        return system.to_system()
-    return system
 
 
 # Step budget of the LR-ADI observability Gramian above the dense cap. The
@@ -170,7 +160,7 @@ def _inner_product(sys: LinearSystem, rom: LinearSystem) -> float:
     return float(np.trace((sys.b.T @ x) @ g).real)
 
 
-def h2_error(system_a, system_b=None,
+def h2_error(system_a: LinearSystem, system_b: LinearSystem | None = None,
              config: Tolerances = DEFAULT) -> H2Result:
     """||H_a - H_b||_H2 from Gramians; ``system_b=None`` gives ||H_a||_H2.
 
@@ -194,18 +184,16 @@ def h2_error(system_a, system_b=None,
     reported as 0, and ``slack`` = sqrt(2 floor) bounds |value - sqrt(s*)|
     in both cases, since |sqrt(s) - sqrt(s*)| <= sqrt(|s - s*|).
     """
-    sys_a = _as_system(system_a)
-    norm_a, eta_a = _squared_norm(sys_a, config, "first")
+    norm_a, eta_a = _squared_norm(system_a, config, "first")
     if system_b is None:
         norm_b = cross = eta_b = 0.0
     else:
-        sys_b = _as_system(system_b)
-        norm_b, eta_b = _squared_norm(sys_b, config, "second")
-        if sys_b.n > config.dense_cap:
+        norm_b, eta_b = _squared_norm(system_b, config, "second")
+        if system_b.n > config.dense_cap:
             raise DenseCapExceeded(
-                f"h2_error: second operand n = {sys_b.n} exceeds the dense "
+                f"h2_error: second operand n = {system_b.n} exceeds the dense "
                 f"cap {config.dense_cap}")
-        cross = _inner_product(sys_a, sys_b)
+        cross = _inner_product(system_a, system_b)
     square = norm_a + norm_b - 2.0 * cross
     floor = (eta_a * norm_a + eta_b * norm_b
              + 2.0 * config.lyap_dense_residual * abs(cross))
@@ -213,7 +201,7 @@ def h2_error(system_a, system_b=None,
     return H2Result(value=value, slack=float(np.sqrt(2.0 * floor)))
 
 
-def bode_data(system, omega_min: float, omega_max: float,
+def bode_data(system: LinearSystem, omega_min: float, omega_max: float,
               points: int = 200) -> np.ndarray:
     """Magnitude (dB) and phase (deg) samples of H(i omega) on a log grid.
 
@@ -221,9 +209,9 @@ def bode_data(system, omega_min: float, omega_max: float,
     and per-entry column pairs otherwise; rows where the evaluation hits a
     pole carry NaN gap markers.
     """
-    tf = _as_system(system).transfer()
+    tf = system.transfer()
     omegas = np.geomspace(omega_min, omega_max, points)
-    m = tf.sys.n_out * tf.sys.n_in
+    m = system.n_out * system.n_in
     rows = np.empty((points, 1 + 2 * m))
     rows[:, 0] = omegas
     for i, omega in enumerate(omegas):
@@ -285,45 +273,25 @@ def _normalize_input(u, n_in: int):
     return u_fun
 
 
-def _output_map(c):
-    """Outputs of a block of state rows: rows @ C^T (none without C)."""
-    if c is None:
-        return lambda xs: np.zeros((xs.shape[0], 0))
+def _output_map(system: DescriptorModel):
+    """Outputs of a block of state rows: rows @ C^T."""
+    c = system.c
     return lambda xs: xs @ c.T
 
 
-def _prepare_system(system, u):
-    """Uniform access: right-hand side f(t, x) and the output map of
-    :func:`_output_map`."""
-    if isinstance(system, ReducedSystem):
-        system = system.to_system()
-    if isinstance(system, LinearSystem):
-        u_fun = _normalize_input(u, system.n_in)
-        def rhs(t, x):
-            r = as_dense(system.a @ x)
-            if u_fun is not None:
-                r = r + system.b @ u_fun(t)
-            return system.solve_e(r)
-        return system.n, rhs, _output_map(system.c)
-    if isinstance(system, NonlinearSystem):
-        u_fun = _normalize_input(u, system.n_in)
-        def rhs(t, x):
-            r = np.asarray(system.f(x), dtype=float)
-            if u_fun is not None:
-                r = r + system.b @ u_fun(t)
-            return system.solve_e(r)
-        return system.n, rhs, _output_map(system.c)
-    if isinstance(system, NonlinearROM):
-        e_lu = lu_factor(system.ebar, context="reduced mass matrix")
-        n_in = 0 if system.bbar is None else system.bbar.shape[1]
-        u_fun = _normalize_input(u, n_in)
-        def rhs(t, x):
-            r = system.f(x)
-            if u_fun is not None:
-                r = r + system.bbar @ u_fun(t)
-            return e_lu.solve(r)
-        return system.r, rhs, _output_map(system.cbar)
-    raise TypeError(f"cannot integrate objects of type {type(system).__name__}")
+def _prepare_system(system: DescriptorModel, u):
+    """Right-hand side f(t, x) = E^{-1}(A x or f(x) + B u(t)) and the output
+    map of :func:`_output_map`."""
+    u_fun = _normalize_input(u, system.n_in)
+    drift = (system.apply_a if isinstance(system, LinearSystem)
+             else lambda x: np.asarray(system.f(x), dtype=float))
+
+    def rhs(t, x):
+        r = drift(x)
+        if u_fun is not None:
+            r = r + system.b @ u_fun(t)
+        return system.solve_e(r)
+    return system.n, rhs, _output_map(system)
 
 
 # Dormand-Prince 5(4) tableau; the last row doubles as the 5th-order weights
@@ -361,8 +329,9 @@ def _initial_step(rhs, t0, x0, f0, rtol, atol, span):
     return min(100 * h0, h1, span)
 
 
-def integrate_adaptive(system, u, x0, t_span, rtol: float = 1e-6,
-                       atol: float = 1e-9, max_steps: int = 100000,
+def integrate_adaptive(system: DescriptorModel, u, x0, t_span,
+                       rtol: float = 1e-6, atol: float = 1e-9,
+                       max_steps: int = 100000,
                        harvest_snapshots: bool = False,
                        fixed_steps: int | None = None,
                        config: Tolerances = DEFAULT) -> Trajectory:
@@ -514,7 +483,7 @@ def _trapezoid_run(step, x0, steps: int, out, forcing, states: bool):
     return xs, np.concatenate(ys)
 
 
-def integrate_trapezoidal(system, u, x0, t_span, steps: int,
+def integrate_trapezoidal(system: DescriptorModel, u, x0, t_span, steps: int,
                           newton_tol: float = 1e-10,
                           max_newton: int = 25, *,
                           states: bool = True) -> Trajectory:
@@ -546,13 +515,15 @@ def integrate_trapezoidal(system, u, x0, t_span, steps: int,
     h = (t1 - t0) / steps
     times = t0 + h * np.arange(steps + 1)
 
-    if isinstance(system, ReducedSystem):
-        system = system.to_system()
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (system.n,):
+        raise ValueError(f"x0 must have length {system.n}")
+    forcing = _trapezoid_forcing(system.b, _normalize_input(u, system.n_in),
+                                 times, h)
+    linear = isinstance(system, LinearSystem)
+    newton_total = taken = 0
 
-    if isinstance(system, LinearSystem):
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (system.n,):
-            raise ValueError(f"x0 must have length {system.n}")
+    if linear:
         e, a = system.e, system.a
         if sp.issparse(e) and sp.issparse(a):
             fwd = (e + 0.5 * h * a).tocsr()
@@ -572,31 +543,17 @@ def integrate_trapezoidal(system, u, x0, t_span, steps: int,
             lhs = lu_factor(e - 0.5 * h * a, context="trapezoidal step matrix")
         except SingularMatrix as exc:
             raise FactorizationFailure(str(exc)) from exc
-        forcing = _trapezoid_forcing(system.b, _normalize_input(u, system.n_in),
-                                     times, h)
 
-        def linear_step(x, term):
+        def step(x, term):
             r = explicit_half(x)
             if term is not None:
                 r += term
             return lhs.solve(r)
-
-        xs, ys = _trapezoid_run(linear_step, x0, steps,
-                                _output_map(system.c), forcing, states)
-        return Trajectory(t=times, x=xs, y=ys,
-                          stats={"steps": steps, "rejected_steps": 0,
-                                 "stage_count": steps})
-
-    if isinstance(system, (NonlinearSystem, NonlinearROM)):
-        rom = isinstance(system, NonlinearROM)
-        e = as_dense(system.ebar if rom else system.e)
+    else:
+        e = as_dense(system.e)
         f, jac = system.f, system.jac
-        b = system.bbar if rom else system.b
-        forcing = _trapezoid_forcing(
-            b, _normalize_input(u, 0 if b is None else b.shape[1]), times, h)
-        newton_total = taken = 0
 
-        def newton_step(x, term):
+        def step(x, term):
             nonlocal newton_total, taken
             base = e @ x + 0.5 * h * np.asarray(f(x), dtype=float)
             if term is not None:
@@ -618,15 +575,11 @@ def integrate_trapezoidal(system, u, x0, t_span, steps: int,
             raise ConvergenceFailure(
                 f"Newton iteration stalled at t = {times[taken + 1]:.6e}")
 
-        xs, ys = _trapezoid_run(newton_step,
-                                np.asarray(x0, dtype=float).copy(), steps,
-                                _output_map(system.cbar if rom else system.c),
-                                forcing, states)
-        return Trajectory(t=times, x=xs, y=ys,
-                          stats={"steps": steps, "rejected_steps": 0,
-                                 "stage_count": newton_total})
-
-    raise TypeError(f"cannot integrate objects of type {type(system).__name__}")
+    xs, ys = _trapezoid_run(step, x0, steps, _output_map(system), forcing,
+                            states)
+    return Trajectory(t=times, x=xs, y=ys,
+                      stats={"steps": steps, "rejected_steps": 0,
+                             "stage_count": steps if linear else newton_total})
 
 
 def output_error(traj_a: Trajectory, traj_b: Trajectory,

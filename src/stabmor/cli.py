@@ -28,6 +28,7 @@ from .dynsys import (
 )
 from .errors import SingularReducedMass, StabmorError
 from .nonlinear import NonlinearSystem
+from .stabilize import DEFAULT_ADI_STEPS, DEFAULT_DELTA
 
 __all__ = ["main", "RunConfig"]
 
@@ -48,7 +49,7 @@ class RunConfig:
     r_list: list | None = None
     s0: float = 1.0
     stabilize: bool = False
-    delta: float = DEFAULT.delta
+    delta: float = DEFAULT_DELTA
     adi: dict | None = None
     input_spec: str = "step"
     horizon: float = 10.0
@@ -217,8 +218,7 @@ def cmd_reduce(args) -> int:
                        out=str(out_dir), seed=args.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    tol = DEFAULT.with_(lradi_steps=args.adi_steps,
-                        lradi_num_shifts=args.adi_shifts,
+    tol = DEFAULT.with_(lradi_num_shifts=args.adi_shifts,
                         lradi_residual=args.adi_tol)
     r_max = max(r_list)
     basis_full = _build_basis(system, args.method, r_max, args.s0, input_fun,
@@ -230,7 +230,8 @@ def cmd_reduce(args) -> int:
     stab = None
     if args.stabilize:
         stab = stabilize.assemble_stabilizer(system, delta=args.delta,
-                                             mode=args.mode, config=tol,
+                                             mode=args.mode,
+                                             steps=args.adi_steps, config=tol,
                                              seed=args.seed)
         stabilize.save_stabilizer(stab, out_dir / "stabilizer")
 
@@ -250,24 +251,23 @@ def cmd_reduce(args) -> int:
         try:
             try:
                 conv = projection.galerkin_reduce(system, sub)
-                alpha_conv = spectral_abscissa(conv.to_system())
+                alpha_conv = spectral_abscissa(conv)
             except SingularReducedMass:
                 conv, alpha_conv = None, None
             row.append(alpha_conv)
             deliver = conv
             if args.stabilize:
                 red = stabilize.stabilized_reduce(system, sub, stab, config=tol)
-                alpha_stab = spectral_abscissa(red.to_system())
+                alpha_stab = spectral_abscissa(red)
                 row.append(alpha_stab)
                 deliver = red
             else:
                 row.append(None)
 
             if conv is not None:
-                save_system(conv.to_system(),
-                            roms_dir / f"r{r:03d}_conventional")
+                save_system(conv, roms_dir / f"r{r:03d}_conventional")
             if args.stabilize:
-                save_system(red.to_system(), roms_dir / f"r{r:03d}_stabilized")
+                save_system(red, roms_dir / f"r{r:03d}_stabilized")
 
             if deliver is None:
                 row.extend([None, None])
@@ -435,10 +435,10 @@ def _build_parser() -> argparse.ArgumentParser:
     red.add_argument("--s0", type=float, default=1.0,
                      help="Arnoldi expansion point")
     red.add_argument("--stabilize", action="store_true")
-    red.add_argument("--delta", type=float, default=DEFAULT.delta)
+    red.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     red.add_argument("--mode", choices=("auto", "dense", "lradi"),
                      default="auto", help="Lyapunov solver choice")
-    red.add_argument("--adi-steps", type=int, default=DEFAULT.lradi_steps)
+    red.add_argument("--adi-steps", type=int, default=DEFAULT_ADI_STEPS)
     red.add_argument("--adi-shifts", type=int,
                      default=DEFAULT.lradi_num_shifts)
     red.add_argument("--adi-tol", type=float, default=DEFAULT.lradi_residual)

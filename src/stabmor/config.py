@@ -30,13 +30,10 @@ class Tolerances:
     # about 2.5e-9 at n = 300, so the check needs a bound well below that
     lyap_dense_residual: float = 1e-12
     # low-rank ADI defaults
-    lradi_steps: int = 10
     lradi_residual: float = 1e-8
     lradi_num_shifts: int = 10
     # refuse LR-ADI when k / n exceeds this fraction
     lradi_rank_fraction: float = 0.05
-    # shift added to the largest non-negative eigenvalue
-    delta: float = 1.0
     # equilibrium verification, relative to problem scale
     equilibrium_residual: float = 1e-10
 

@@ -1,10 +1,12 @@
-"""Linear descriptor systems, their transfer functions, and stability checks.
+"""Descriptor models, linear systems, transfer functions, stability checks.
 
 A system is the quadruple (E, A, B, C) describing
 
     E x'(t) = A x(t) + B u(t),      y(t) = C x(t),
 
-with E non-singular. Stability language used throughout the package:
+with E non-singular. Nonlinear models replace A x by f(x); every kind,
+full-order or reduced, keeps E, B and C in :class:`DescriptorModel`.
+Stability language used throughout the package:
 
 * spectral abscissa: max Re(lambda) over det(lambda E - A) = 0,
 * asymptotically stable: spectral abscissa < 0 (a zero abscissa counts as
@@ -35,6 +37,7 @@ from .errors import (
 from .linalg import as_dense, dense_abscissa, lu_factor, read_mtx, write_mtx
 
 __all__ = [
+    "DescriptorModel",
     "LinearSystem",
     "TransferFunction",
     "StabilityReport",
@@ -74,25 +77,29 @@ def _sparse_diagonal(e) -> np.ndarray | None:
     return e.data
 
 
-class LinearSystem:
-    """Immutable descriptor system (E, A, B, C).
+class DescriptorModel:
+    """What every model E x' = (A x or f(x)) + B u, y = C x shares: E, B, C.
 
-    E is factorized at construction, so a structurally singular mass matrix
-    is rejected immediately with :class:`SingularE`.
+    B and C are held as dense arrays; None stands for no inputs (n-by-0)
+    or no outputs (0-by-n). E is factorized at construction, so a
+    structurally singular mass matrix is rejected immediately with
+    :class:`SingularE`. Linear, nonlinear, full-order and reduced models
+    all solve with E through this class.
     """
 
-    def __init__(self, e, a, b, c):
-        n = a.shape[0]
-        if a.shape != (n, n) or e.shape != (n, n):
-            raise ValueError("E and A must be square and of equal size")
-        b = np.atleast_2d(np.asarray(as_dense(b), dtype=float))
-        c = np.atleast_2d(np.asarray(as_dense(c), dtype=float))
+    def __init__(self, e, b=None, c=None):
+        n = e.shape[0]
+        if e.shape != (n, n):
+            raise ValueError("E must be square")
+        b = np.zeros((n, 0)) if b is None else np.atleast_2d(
+            np.asarray(as_dense(b), dtype=float))
+        c = np.zeros((0, n)) if c is None else np.atleast_2d(
+            np.asarray(as_dense(c), dtype=float))
         if b.shape[0] != n:
             raise ValueError(f"B must have {n} rows, got {b.shape}")
         if c.shape[1] != n:
             raise ValueError(f"C must have {n} columns, got {c.shape}")
         self.e = e
-        self.a = a
         self.b = b
         self.c = c
         self.n = n
@@ -102,20 +109,11 @@ class LinearSystem:
             self.e_lu = lu_factor(e, context="mass matrix")
         except SingularMatrix as exc:
             raise SingularE(str(exc)) from exc
-        # squared H2 norm and its error bound per configuration, filled by
-        # analysis.h2_error
-        self._h2_squared: dict = {}
 
     @property
     def descriptor(self) -> bool:
         """True when the mass matrix differs from the identity."""
         return not _looks_identity(self.e)
-
-    def apply_a(self, x):
-        return self.a @ x
-
-    def apply_at(self, x):
-        return self.a.T @ x
 
     @functools.cached_property
     def _e_diagonal(self) -> np.ndarray | None:
@@ -147,6 +145,26 @@ class LinearSystem:
         """E^{-T} x; see :meth:`solve_e`."""
         return self._solve(x, trans=True)
 
+
+class LinearSystem(DescriptorModel):
+    """Immutable descriptor system (E, A, B, C)."""
+
+    def __init__(self, e, a, b, c):
+        n = a.shape[0]
+        if a.shape != (n, n) or e.shape != (n, n):
+            raise ValueError("E and A must be square and of equal size")
+        super().__init__(e, b, c)
+        self.a = a
+        # squared H2 norm and its error bound per configuration, filled by
+        # analysis.h2_error
+        self._h2_squared: dict = {}
+
+    def apply_a(self, x):
+        return self.a @ x
+
+    def apply_at(self, x):
+        return self.a.T @ x
+
     def sym_part_matvec(self, v):
         """Apply the symmetric part E^{-1}A + A^T E^{-T} to a vector."""
         return self.solve_e(self.apply_a(v)) + self.apply_at(self.solve_et(v))
@@ -156,48 +174,36 @@ class LinearSystem:
 
     def __repr__(self):
         kind = "descriptor" if self.descriptor else "standard"
-        return (f"LinearSystem(n={self.n}, n_in={self.n_in}, "
+        return (f"{type(self).__name__}(n={self.n}, n_in={self.n_in}, "
                 f"n_out={self.n_out}, {kind})")
 
 
 class TransferFunction:
-    """Evaluator for H(s) = C (sE - A)^{-1} B with a bounded solver cache.
+    """Evaluator for H(s) = C (sE - A)^{-1} B.
 
-    Evaluations at distinct points are independent; the cache only avoids
-    refactorizing when the same point is requested repeatedly (as in
-    moment-matching checks).
+    Each evaluation factorizes the pencil at its point; evaluations at
+    distinct points are independent.
     """
 
-    def __init__(self, sys: LinearSystem, cache_size: int = 32):
+    def __init__(self, sys: LinearSystem):
         self.sys = sys
-        self._cache_size = cache_size
-        self._cache: dict[complex, object] = {}
-
-    def _factorization(self, s: complex):
-        s = complex(s)
-        lu = self._cache.get(s)
-        if lu is None:
-            sys = self.sys
-            if s.imag == 0.0:
-                pencil = s.real * sys.e - sys.a
-            else:
-                pencil = s * (sys.e.astype(complex) if sp.issparse(sys.e)
-                              else as_dense(sys.e).astype(complex)) - sys.a
-            try:
-                lu = lu_factor(pencil, context=f"pencil at s={s}")
-            except SingularMatrix as exc:
-                raise PoleHit(f"s = {s} is a pole of the transfer function: "
-                              f"{exc}") from exc
-            if len(self._cache) >= self._cache_size:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[s] = lu
-        return lu
 
     def eval(self, s: complex) -> np.ndarray:
         """H(s) as a dense n_out-by-n_in complex matrix."""
-        lu = self._factorization(s)
-        x = lu.solve(self.sys.b)
-        return np.asarray(self.sys.c @ x, dtype=complex)
+        s = complex(s)
+        sys = self.sys
+        if s.imag == 0.0:
+            pencil = s.real * sys.e - sys.a
+        else:
+            pencil = s * (sys.e.astype(complex) if sp.issparse(sys.e)
+                          else as_dense(sys.e).astype(complex)) - sys.a
+        try:
+            lu = lu_factor(pencil, context=f"pencil at s={s}")
+        except SingularMatrix as exc:
+            raise PoleHit(f"s = {s} is a pole of the transfer function: "
+                          f"{exc}") from exc
+        x = lu.solve(sys.b)
+        return np.asarray(sys.c @ x, dtype=complex)
 
     __call__ = eval
 

@@ -44,6 +44,10 @@ class RankDeficient(StabmorError):
 class AlreadyDissipative(StabmorError):
     """The symmetric part is negative definite; no transformation needed."""
 
+    def __init__(self, message, mu_max=None):
+        super().__init__(message)
+        self.mu_max = mu_max
+
 
 class ShiftFailure(StabmorError):
     """An ADI shift coincides with a system eigenvalue."""

@@ -223,10 +223,13 @@ def _gram_svd(g, r: int, config: Tolerances):
 def thin_svd(m, r: int, config: Tolerances = DEFAULT):
     """Leading left singular vectors and singular values of ``m``.
 
-    Up to a smaller side of ``config.svd_gram_max`` the dense path
-    eigendecomposes the smaller Gram matrix with LAPACK. Above it, the
-    ARPACK path calls scipy's ``svds``, which needs only products with
-    ``m`` and ``m^T`` and requires ``r`` below the smaller side. A closed
+    Up to a smaller side of ``config.svd_gram_max`` the dense path is one
+    LAPACK call: a wide matrix (n <= s) eigendecomposes its n-by-n Gram
+    matrix, and a tall one takes its thin SVD, whose small singular values
+    keep their accuracy (those of the s-by-s Gram matrix do not). Above
+    that size the ARPACK path calls scipy's ``svds``, which needs only
+    products with ``m`` and ``m^T`` and requires ``r`` below the smaller
+    side. A closed
     :class:`Snapshots` is taken through its accumulated Gram matrix, or its
     raw matrix if it kept one.
 
@@ -247,21 +250,8 @@ def thin_svd(m, r: int, config: Tolerances = DEFAULT):
         return _fix_signs(u[:, ::-1].copy()), sigma[::-1].copy()
     if n <= s:
         return _gram_svd(as_dense(m @ m.T), r, config)
-
-    g = as_dense(m.T @ m)
-    w, v = sym_eig_dense(0.5 * (g + g.T), config)
-    sigma = np.sqrt(np.clip(w[:r], 0.0, None))
-    u = np.zeros((n, r))
-    for j in range(r):
-        if sigma[j] > config.rank_deficient * max(sigma[0], 1e-300):
-            col = m @ v[:, j] / sigma[j]
-        else:
-            col = np.random.default_rng(j).standard_normal(n)
-        # two modified Gram-Schmidt passes to polish orthogonality
-        col -= u[:, :j] @ (u[:, :j].T @ col)
-        col -= u[:, :j] @ (u[:, :j].T @ col)
-        u[:, j] = col / np.linalg.norm(col)
-    return _fix_signs(u), sigma
+    u, sigma, _ = np.linalg.svd(as_dense(m), full_matrices=False)
+    return _fix_signs(u[:, :r].copy()), sigma[:r].copy()
 
 
 def spectral_norm(m) -> float:
@@ -277,7 +267,15 @@ def spectral_norm(m) -> float:
 
 
 def read_mtx(path):
-    """Read a Matrix Market file; sparse files come back in CSR format."""
+    """Read a Matrix Market file; sparse files come back in CSR format.
+
+    A matrix with no rows or no columns (a bundle without inputs or
+    outputs) is read from the header alone, as zeros of that shape:
+    scipy's ``mmread`` does not handle an empty array body.
+    """
+    rows, cols = scipy.io.mminfo(path)[:2]
+    if rows == 0 or cols == 0:
+        return np.zeros((rows, cols))
     m = scipy.io.mmread(path)
     if sp.issparse(m):
         return m.tocsr()

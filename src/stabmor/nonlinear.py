@@ -13,14 +13,13 @@ V, exactly as in the linear case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import DEFAULT, Tolerances
-from .dynsys import LinearSystem, StabilityReport, stability_report
+from .dynsys import (DescriptorModel, LinearSystem, StabilityReport,
+                     stability_report)
 from .errors import EquilibriumResidualTooLarge
 from .linalg import as_dense
 from .stabilize import StabilizerFactor
@@ -36,7 +35,7 @@ __all__ = [
 ]
 
 
-class NonlinearSystem:
+class NonlinearSystem(DescriptorModel):
     """Autonomous nonlinear descriptor system E x' = f(x) (+ B u).
 
     ``f`` and ``jac`` are callbacks; ``jac`` must return the n-by-n
@@ -50,25 +49,14 @@ class NonlinearSystem:
     def __init__(self, e, f: Callable, jac: Callable,
                  x_star: np.ndarray | None = None,
                  b=None, c=None, config: Tolerances = DEFAULT):
-        n = e.shape[0]
-        if e.shape != (n, n):
-            raise ValueError("E must be square")
-        self.n = n
+        super().__init__(e, b, c)
+        n = self.n
         self.f = f
         self.jac = jac
         self.x_star = (np.zeros(n) if x_star is None
                        else np.asarray(x_star, dtype=float))
         if self.x_star.shape != (n,):
             raise ValueError(f"equilibrium must be a vector of length {n}")
-        self.b = None if b is None else np.atleast_2d(np.asarray(as_dense(b), dtype=float))
-        self.c = None if c is None else np.atleast_2d(np.asarray(as_dense(c), dtype=float))
-        self.n_in = 0 if self.b is None else self.b.shape[1]
-        self.n_out = 0 if self.c is None else self.c.shape[0]
-        # reuse the linear machinery for the E factorization and checks
-        self._shell = LinearSystem(
-            e, sp.csr_matrix((n, n)),
-            np.zeros((n, 1)) if self.b is None else self.b,
-            np.zeros((1, n)) if self.c is None else self.c)
         residual = float(np.linalg.norm(np.asarray(f(self.x_star), dtype=float)))
         scale = max(1.0, float(np.linalg.norm(
             as_dense(jac(self.x_star) @ np.atleast_2d(self.x_star).T))))
@@ -76,16 +64,6 @@ class NonlinearSystem:
             raise EquilibriumResidualTooLarge(
                 f"||f(x*)|| = {residual:.3e} exceeds "
                 f"{config.equilibrium_residual:.1e} * scale ({scale:.3e})")
-
-    @property
-    def e(self):
-        return self._shell.e
-
-    def solve_e(self, x):
-        return self._shell.solve_e(x)
-
-    def solve_et(self, x):
-        return self._shell.solve_et(x)
 
 
 def shift_to_origin(sys: NonlinearSystem,
@@ -103,10 +81,7 @@ def shift_to_origin(sys: NonlinearSystem,
 
 def linearize(sys: NonlinearSystem) -> LinearSystem:
     """Linear system (E, jac(x*), B, C) describing the equilibrium dynamics."""
-    a = sys.jac(sys.x_star)
-    b = sys.b if sys.b is not None else np.zeros((sys.n, 1))
-    c = sys.c if sys.c is not None else np.zeros((1, sys.n))
-    return LinearSystem(sys.e, a, b, c)
+    return LinearSystem(sys.e, sys.jac(sys.x_star), sys.b, sys.c)
 
 
 def equilibrium_stability(sys: NonlinearSystem, ell: int | None = None,
@@ -115,34 +90,35 @@ def equilibrium_stability(sys: NonlinearSystem, ell: int | None = None,
     return stability_report(linearize(sys), ell, config)
 
 
-@dataclass(frozen=True, eq=False)
-class NonlinearROM:
+class NonlinearROM(DescriptorModel):
     """Reduced nonlinear model Ebar xbar' = fbar(xbar) (+ Bbar u).
 
     ``f`` and ``jac`` are the projected callbacks W^T f(V .) and
     W^T jac(V .) V; ``f(0) = 0`` holds because reduction happens in
-    shifted coordinates.
+    shifted coordinates, so construction evaluates neither. ``x_star`` is
+    the full-order equilibrium. ``ebar``, ``bbar``, ``cbar`` and ``r`` are
+    the reduced names of E, B, C and n.
     """
 
-    ebar: np.ndarray
-    f: Callable
-    jac: Callable
-    bbar: np.ndarray | None
-    cbar: np.ndarray | None
-    v: np.ndarray
-    w: np.ndarray
-    stabilized: bool
-    x_star: np.ndarray = field(repr=False, default=None)
+    def __init__(self, ebar, f: Callable, jac: Callable, bbar, cbar,
+                 v: np.ndarray, w: np.ndarray, stabilized: bool,
+                 x_star: np.ndarray):
+        super().__init__(ebar, bbar, cbar)
+        self.f = f
+        self.jac = jac
+        self.v = v
+        self.w = w
+        self.stabilized = stabilized
+        self.x_star = x_star
 
-    @property
-    def r(self) -> int:
-        return self.ebar.shape[0]
+    ebar = property(lambda self: self.e)
+    bbar = property(lambda self: self.b)
+    cbar = property(lambda self: self.c)
+    r = property(lambda self: self.n)
 
     def jacobian_system(self) -> LinearSystem:
         """Reduced linearization at the equilibrium, for stability checks."""
-        b = self.bbar if self.bbar is not None else np.zeros((self.r, 1))
-        c = self.cbar if self.cbar is not None else np.zeros((1, self.r))
-        return LinearSystem(self.ebar, self.jac(np.zeros(self.r)), b, c)
+        return LinearSystem(self.e, self.jac(np.zeros(self.n)), self.b, self.c)
 
 
 def nonlinear_reduce(sys: NonlinearSystem, basis,
@@ -172,9 +148,7 @@ def nonlinear_reduce(sys: NonlinearSystem, basis,
     def jbar(xbar, w=w, v=v, shifted=shifted):
         return np.asarray(w.T @ as_dense(shifted.jac(v @ xbar) @ v))
 
-    bbar = None if shifted.b is None else w.T @ shifted.b
-    cbar = None if shifted.c is None else shifted.c @ v
-    return NonlinearROM(ebar=ebar, f=fbar, jac=jbar, bbar=bbar, cbar=cbar,
+    return NonlinearROM(ebar, fbar, jbar, w.T @ shifted.b, shifted.c @ v,
                         v=v, w=w, stabilized=stab is not None,
                         x_star=sys.x_star.copy())
 

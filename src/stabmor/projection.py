@@ -70,36 +70,37 @@ class ProjectionBasis:
         return self.v.shape[0]
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
+class ReducedSystem(LinearSystem):
     """Projected r-by-r system together with its provenance.
 
     ``stabilized`` records whether the test basis came from the
     Lyapunov-based transformation (in which case ``ebar`` is symmetric
-    positive definite by construction).
+    positive definite by construction). ``ebar``, ``abar``, ``bbar``,
+    ``cbar`` and ``r`` are the reduced names of E, A, B, C and n.
     """
 
-    ebar: np.ndarray
-    abar: np.ndarray
-    bbar: np.ndarray
-    cbar: np.ndarray
-    method: str
-    stabilized: bool
-    w_source: str
+    def __init__(self, ebar, abar, bbar, cbar, method: str, stabilized: bool):
+        super().__init__(ebar, abar, bbar, cbar)
+        self.method = method
+        self.stabilized = stabilized
+
+    ebar = property(lambda self: self.e)
+    abar = property(lambda self: self.a)
+    bbar = property(lambda self: self.b)
+    cbar = property(lambda self: self.c)
+    r = property(lambda self: self.n)
 
     @property
-    def r(self) -> int:
-        return self.abar.shape[0]
+    def w_source(self) -> str:
+        return "lyapunov" if self.stabilized else "galerkin"
 
-    def to_system(self) -> LinearSystem:
-        """View the reduced quadruple as a dense LinearSystem."""
-        return LinearSystem(self.ebar, self.abar, self.bbar, self.cbar)
+    def to_system(self) -> "ReducedSystem":
+        """The reduced model itself, which is a LinearSystem."""
+        return self
 
 
 def galerkin_reduce(sys: LinearSystem, basis: ProjectionBasis,
-                    w: np.ndarray | None = None, *,
-                    stabilized: bool = False,
-                    w_source: str = "galerkin") -> ReducedSystem:
+                    w: np.ndarray | None = None) -> ReducedSystem:
     """Project a system onto ``basis``; ``w`` defaults to the trial basis."""
     v = basis.v
     if v.shape[0] != sys.n:
@@ -110,9 +111,6 @@ def galerkin_reduce(sys: LinearSystem, basis: ProjectionBasis,
         raise ValueError("test basis W must have the same shape as V")
     ev = as_dense(sys.e @ v)
     ebar = np.asarray(w.T @ ev)
-    abar = np.asarray(w.T @ as_dense(sys.a @ v))
-    bbar = np.asarray(w.T @ sys.b)
-    cbar = np.asarray(sys.c @ v)
     # singularity is judged on the scale of E V and W, not of ebar itself:
     # an orthogonal-looking W can make W^T E V uniformly tiny
     scale = np.linalg.norm(ev, 2) * max(np.linalg.norm(w, 2), 1e-300)
@@ -123,9 +121,9 @@ def galerkin_reduce(sys: LinearSystem, basis: ProjectionBasis,
             f"(sigma_min = {sigma_min:.3e} at scale {scale:.3e}); the "
             "stabilized reduction (stabilize.stabilized_reduce) guarantees "
             "a positive definite one")
-    return ReducedSystem(ebar=ebar, abar=abar, bbar=bbar, cbar=cbar,
-                         method=basis.method, stabilized=stabilized,
-                         w_source=w_source)
+    return ReducedSystem(ebar, np.asarray(w.T @ as_dense(sys.a @ v)),
+                         np.asarray(w.T @ sys.b), np.asarray(sys.c @ v),
+                         method=basis.method, stabilized=False)
 
 
 def _orthonormalize_block(block: np.ndarray, v_cols: list[np.ndarray]):

@@ -58,6 +58,11 @@ from .linalg import (
 )
 from .projection import ProjectionBasis, ReducedSystem
 
+# shift added to the largest non-negative eigenvalue, and the LR-ADI step
+# budget, unless a caller passes its own
+DEFAULT_DELTA = 1.0
+DEFAULT_ADI_STEPS = 10
+
 __all__ = [
     "StabFactorRHS",
     "StabilizerFactor",
@@ -113,25 +118,24 @@ def _nonnegative_eigenpairs(sys: LinearSystem, config: Tolerances, seed: int):
         k_est = max(frag.k, 2 * k_est)
 
 
-def build_stab_factor_F(sys: LinearSystem, delta: float | None = None,
+def build_stab_factor_F(sys: LinearSystem, delta: float = DEFAULT_DELTA,
                         config: Tolerances = DEFAULT,
                         seed: int = 0) -> StabFactorRHS:
     """Eigenvector factor of the rank-k shift that makes -G_sym + shift SPD.
 
     Raises :class:`AlreadyDissipative` when the symmetric part is negative
-    definite (k = 0); projection needs no transformation then. The shift
-    delta is inflated by the largest eigenpair residual so that positive
-    definiteness survives an inexact iterative eigensolve.
+    definite (k = 0), with that spectrum's ``mu_max``; projection needs no
+    transformation then. The shift delta is inflated by the largest
+    eigenpair residual so that positive definiteness survives an inexact
+    iterative eigensolve.
     """
-    if delta is None:
-        delta = config.delta
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     frag = _nonnegative_eigenpairs(sys, config, seed)
     if frag.k == 0:
         raise AlreadyDissipative(
             f"symmetric part is negative definite (mu_max = {frag.mu_max:.3e}); "
-            "use the conventional Galerkin reduction")
+            "use the conventional Galerkin reduction", mu_max=frag.mu_max)
     u = frag.vectors[:, :frag.k]
     gu = sys.sym_part_matvec(u)
     rayleigh = np.einsum("ij,ij->j", u, gu)
@@ -209,18 +213,17 @@ def _arnoldi_ritz_values(matvec, n: int, m: int, seed: int) -> np.ndarray:
     return np.linalg.eigvals(h[:j_done, :j_done])
 
 
-def penzl_shifts(a, e, count: int | None = None,
-                 config: Tolerances = DEFAULT, seed: int = 0) -> np.ndarray:
+def penzl_shifts(a, e, config: Tolerances = DEFAULT,
+                 seed: int = 0) -> np.ndarray:
     """Heuristic ADI shift set from Ritz values of E^{-1}A.
 
     Runs a short Arnoldi iteration forward and on the inverse operator
     (approximating the smallest-magnitude eigenvalues), keeps the
-    stable Ritz values, and greedily picks the subset minimizing the
-    worst-case ADI damping factor over the candidate set. Complex shifts
-    come in adjacent conjugate pairs.
+    stable Ritz values, and greedily picks ``config.lradi_num_shifts`` of
+    them minimizing the worst-case ADI damping factor over the candidate
+    set. Complex shifts come in adjacent conjugate pairs.
     """
-    if count is None:
-        count = config.lradi_num_shifts
+    count = config.lradi_num_shifts
     n = a.shape[0]
     e_lu = lu_factor(e, context="mass matrix")
     m_fwd = min(n, max(2 * count, 20))
@@ -273,22 +276,20 @@ def _shifted_pencil(a, e, p: complex):
 
 
 def solve_lyapunov_lradi(a, e, u_tilde: np.ndarray,
-                         steps: int | None = None,
+                         steps: int = DEFAULT_ADI_STEPS,
                          shifts: np.ndarray | None = None,
                          config: Tolerances = DEFAULT,
                          seed: int = 0):
     """LR-ADI iteration for A^T X E + E^T X A + Ut Ut^T = 0, X ~ Z Z^T.
 
     Each real shift appends k columns to Z, a complex conjugate pair
-    appends 2k and counts as two steps. Stops at ``steps`` (default from
-    config) or when the relative residual drops below the configured
-    tolerance, whichever happens first.
+    appends 2k and counts as two steps. Stops at ``steps`` or when the
+    relative residual drops below ``config.lradi_residual``, whichever
+    happens first.
 
     Returns ``(z, residual_history)`` where the history starts with the
     initial relative residual 1.0.
     """
-    if steps is None:
-        steps = config.lradi_steps
     if shifts is None:
         shifts = penzl_shifts(a, e, config=config, seed=seed)
     shifts = np.atleast_1d(np.asarray(shifts, dtype=complex))
@@ -414,8 +415,8 @@ class StabilizerFactor:
         return matrix_sqrt_factor(self.z, e=self.sys.e)
 
 
-def assemble_stabilizer(sys: LinearSystem, delta: float | None = None,
-                        mode: str = "auto", steps: int | None = None,
+def assemble_stabilizer(sys: LinearSystem, delta: float = DEFAULT_DELTA,
+                        mode: str = "auto", steps: int = DEFAULT_ADI_STEPS,
                         shifts: np.ndarray | None = None,
                         config: Tolerances = DEFAULT,
                         seed: int = 0) -> StabilizerFactor:
@@ -431,18 +432,15 @@ def assemble_stabilizer(sys: LinearSystem, delta: float | None = None,
     """
     if mode not in ("auto", "dense", "lradi"):
         raise ValueError(f"unknown mode {mode!r}")
-    if delta is None:
-        delta = config.delta
     try:
         rhs = build_stab_factor_F(sys, delta, config, seed)
-    except AlreadyDissipative:
-        frag = symmetric_part_spectrum(sys, 1, config, seed=seed)
+    except AlreadyDissipative as exc:
         return StabilizerFactor(sys=sys, z=np.zeros((sys.n, 0)),
                                 u_tilde=np.zeros((sys.n, 0)), delta=delta,
-                                k=0, mu_max=frag.mu_max, mode="none",
+                                k=0, mu_max=exc.mu_max, mode="none",
                                 residual_history=(0.0,),
                                 certificate_bound=min(delta,
-                                                      abs(frag.mu_max)))
+                                                      abs(exc.mu_max)))
     if mode == "auto":
         mode = "dense" if rhs.k > config.lradi_rank_fraction * sys.n else "lradi"
     if mode == "dense":
@@ -492,11 +490,9 @@ def stabilized_reduce(sys: LinearSystem, basis: ProjectionBasis,
         stab = assemble_stabilizer(sys, config=config)
     v = basis.v
     w, ebar = stab.test_basis(v)
-    red = ReducedSystem(ebar=ebar, abar=w.T @ as_dense(sys.a @ v),
-                        bbar=w.T @ sys.b, cbar=sys.c @ v,
-                        method=basis.method, stabilized=True,
-                        w_source="lyapunov")
-    alpha = spectral_abscissa(red.to_system(), config)
+    red = ReducedSystem(ebar, w.T @ as_dense(sys.a @ v), w.T @ sys.b,
+                        sys.c @ v, method=basis.method, stabilized=True)
+    alpha = spectral_abscissa(red, config)
     if alpha >= 0.0:
         warnings.warn(
             f"stabilized reduced model has spectral abscissa "

@@ -1,6 +1,9 @@
 """Linear system representation, stability reports, transfer functions."""
 from __future__ import annotations
 
+import json
+import subprocess
+import sys as sys_module
 import time
 
 import numpy as np
@@ -301,6 +304,27 @@ class TestPersistence:
         assert sp.issparse(back.e)
         assert np.array_equal(np.asarray(back.e.todense()),
                               np.asarray(e.todense()))
+
+    @pytest.mark.parametrize("b, c", [
+        (np.zeros((3, 0)), np.ones((1, 3))),
+        (np.ones((3, 1)), np.zeros((0, 3))),
+    ], ids=["no-inputs", "no-outputs"])
+    def test_roundtrip_without_inputs_or_outputs(self, tmp_path, b, c):
+        # loaded in a child process: scipy's mmread of an empty array body
+        # can kill the interpreter (SIGFPE) rather than raise
+        sys = LinearSystem(np.eye(3), -np.eye(3), b, c)
+        save_system(sys, tmp_path / "bundle")
+        script = ("import json, sys; from stabmor.dynsys import load_system; "
+                  "s = load_system(sys.argv[1]); "
+                  "print(json.dumps([s.b.shape, s.b.tolist(), "
+                  "s.c.shape, s.c.tolist()]))")
+        proc = subprocess.run(
+            [sys_module.executable, "-c", script, str(tmp_path / "bundle")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        b_shape, b_back, c_shape, c_back = json.loads(proc.stdout)
+        assert np.array_equal(np.reshape(b_back, b_shape), b)
+        assert np.array_equal(np.reshape(c_back, c_shape), c)
 
     def test_manifest_mismatch_detected(self, tmp_path, rng):
         sys = random_stable_system(rng, 4)

@@ -154,6 +154,14 @@ class TestThinSVD:
             assert np.linalg.norm(u.T @ u - np.eye(r), 2) <= 1e-10
             assert np.all(s[1:] <= 1e-12 * s[0])
 
+    def test_tall_equal_columns_have_rounding_level_tail(self):
+        # the Gram matrix of the columns squares the condition number:
+        # its eigensolve left sigma_2 / sigma_1 at 1.7e-8 here
+        col = np.random.default_rng(1234).standard_normal((20, 1))
+        u, s = thin_svd(np.hstack([col] * 4), 4)
+        assert np.all(s[1:] <= 1e-15 * s[0])
+        assert np.linalg.norm(u.T @ u - np.eye(4), 2) <= 1e-12
+
     def test_orthonormal_for_decaying_spectrum(self, rng):
         # steeply decaying singular values stress the Gram-route accuracy
         u = random_orthonormal(rng, 200, 8)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from stabmor import analysis, benchgen
 from stabmor.dynsys import LinearSystem, stability_report
-from stabmor.errors import EquilibriumResidualTooLarge
+from stabmor.errors import EquilibriumResidualTooLarge, SingularE
 from stabmor.nonlinear import (
     NonlinearSystem,
     equilibrium_stability,
@@ -69,6 +69,15 @@ class TestConstruction:
         sys = NonlinearSystem(np.eye(2), lambda x: -(x - 1.0),
                               lambda x: -np.eye(2), x_star=np.ones(2))
         assert np.allclose(sys.x_star, 1.0)
+
+    def test_inputs_and_outputs_default_to_none(self):
+        sys = NonlinearSystem(np.eye(3), lambda x: -x, lambda x: -np.eye(3))
+        assert sys.b.shape == (3, 0) and sys.c.shape == (0, 3)
+        assert (sys.n_in, sys.n_out) == (0, 0)
+        assert linearize(sys).n_in == 0 and linearize(sys).n_out == 0
+        traj = analysis.integrate_trapezoidal(sys, None, np.ones(3),
+                                              (0.0, 1.0), steps=10)
+        assert traj.y.shape == (11, 0)
 
 
 class TestShiftToOrigin:
@@ -211,6 +220,38 @@ class TestNonlinearReduce:
         rom = nonlinear_reduce(forced, basis)
         assert np.linalg.norm(rom.f(np.zeros(3))) <= 1e-10
         assert np.allclose(rom.x_star, x_star)
+
+    def test_singular_reduced_mass_rejected_at_construction(self):
+        # V^T E V = diag(0, 1) for the indefinite E = diag(1, -1, 1)
+        e = np.diag([1.0, -1.0, 1.0])
+        nl = NonlinearSystem(e, lambda x: -e @ x, lambda x: -e)
+        v = np.zeros((3, 2))
+        v[:2, 0] = 1.0 / np.sqrt(2.0)
+        v[2, 1] = 1.0
+        basis = external_basis(v)
+        with pytest.raises(SingularE):
+            nonlinear_reduce(nl, basis)
+
+    def test_reduction_evaluates_no_full_order_callback(self, rng):
+        calls = []
+        a = -np.eye(4) + np.diag(np.ones(3), 1)
+
+        def f(x):
+            calls.append("f")
+            return a @ x
+
+        def jac(x):
+            calls.append("jac")
+            return a.copy()
+
+        nl = NonlinearSystem(np.eye(4), f, jac)
+        calls.clear()
+        stab = assemble_stabilizer(linearize(nl), mode="dense")
+        calls.clear()
+        basis = external_basis(random_orthonormal(rng, 4, 2))
+        nonlinear_reduce(nl, basis)
+        nonlinear_reduce(nl, basis, stab=stab)
+        assert calls == []
 
     def test_basis_row_mismatch_rejected(self, rng):
         nl = benchgen.gen_cubic_msd(masses=3)

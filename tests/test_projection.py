@@ -154,6 +154,11 @@ class TestPOD:
         with pytest.raises(RankDeficient):
             pod_basis(np.hstack([col, 2 * col, -col]), 2)
 
+    def test_equal_tall_snapshots_are_rank_one(self):
+        col = np.random.default_rng(1234).standard_normal((20, 1))
+        with pytest.raises(RankDeficient):
+            pod_basis(np.hstack([col] * 4), 2)
+
     def test_harvest_with_fewer_snapshots_than_r_rejected(self):
         sys = gen_convection_diffusion(n=100)
         traj = integrate_adaptive(sys, make_input("step"), np.zeros(100),

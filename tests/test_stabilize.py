@@ -135,6 +135,23 @@ class TestBuildStabFactor:
         assert requested == [16, 32, 64]
         assert above.k == rhs.k
 
+    def test_dissipative_system_takes_one_eigensolve(self, monkeypatch):
+        sys = benchgen.gen_nonnormal_stable(n=50, kappa=1.0,
+                                            require_nonnormal=False)
+        requested = []
+
+        def counted(system, ell, config=DEFAULT, seed=0):
+            requested.append(ell)
+            return symmetric_part_spectrum(system, ell, config, seed=seed)
+
+        monkeypatch.setattr(stabilize, "symmetric_part_spectrum", counted)
+        stab = assemble_stabilizer(sys)
+        assert requested == [50]
+        mu_max = float(np.linalg.eigvalsh(dense_symmetric_part(sys)).max())
+        assert stab.k == 0 and stab.mu_max < 0.0
+        assert stab.mu_max == pytest.approx(mu_max, rel=1e-12)
+        assert stab.certificate_bound == min(stab.delta, abs(stab.mu_max))
+
     def test_f_positive_definite_nonnormal_200(self):
         sys = benchgen.gen_nonnormal_stable(n=200, kappa=50.0, seed=3)
         rhs = build_stab_factor_F(sys, delta=1.0)
@@ -321,14 +338,16 @@ class TestLRADI:
 class TestPenzlShifts:
     def test_all_stable_and_deterministic(self, rng):
         sys = random_stable_system(rng, 60, identity_mass=False)
-        s1 = penzl_shifts(sys.a, sys.e, count=8, seed=5)
-        s2 = penzl_shifts(sys.a, sys.e, count=8, seed=5)
+        cfg = DEFAULT.with_(lradi_num_shifts=8)
+        s1 = penzl_shifts(sys.a, sys.e, config=cfg, seed=5)
+        s2 = penzl_shifts(sys.a, sys.e, config=cfg, seed=5)
         assert np.array_equal(s1, s2)
         assert np.all(s1.real < 0)
 
     def test_conjugate_pairs_adjacent(self):
         sys = benchgen.gen_msd_chain(masses=10, damping=0.1)
-        shifts = penzl_shifts(sys.a, sys.e, count=10)
+        shifts = penzl_shifts(sys.a, sys.e,
+                              config=DEFAULT.with_(lradi_num_shifts=10))
         i = 0
         while i < len(shifts):
             if shifts[i].imag != 0.0:
@@ -339,7 +358,8 @@ class TestPenzlShifts:
                 i += 1
 
     def test_fallback_for_unstable_operator(self):
-        shifts = penzl_shifts(np.eye(4), np.eye(4), count=4)
+        shifts = penzl_shifts(np.eye(4), np.eye(4),
+                              config=DEFAULT.with_(lradi_num_shifts=4))
         assert np.array_equal(shifts, np.array([-1.0 + 0.0j]))
 
 
