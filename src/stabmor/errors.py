@@ -44,7 +44,7 @@ class RankDeficient(StabmorError):
 class AlreadyDissipative(StabmorError):
     """The symmetric part is negative definite; no transformation needed."""
 
-    def __init__(self, message, mu_max=None):
+    def __init__(self, message, mu_max):
         super().__init__(message)
         self.mu_max = mu_max
 

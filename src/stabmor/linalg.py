@@ -213,6 +213,14 @@ class Snapshots:
         return self
 
 
+# Smallest eigenvalue ratio w_r / w_1 of a tall matrix's Gram matrix that
+# :func:`thin_svd` trusts: there sigma_r = sqrt(w_r) is still relatively
+# accurate to about 1e-6, and U = M V / sigma orthogonal to about 1e-6
+# before its QR. Below it (sigma_r < 1e-5 sigma_1) the rounding in w_r
+# decides, so a rank decision needs the SVD of M itself.
+GRAM_RESOLVED = 1e-10
+
+
 def _gram_svd(g, r: int, config: Tolerances):
     """Leading r left singular vectors and values of S from G = S S^T."""
     w, u = sym_eig_dense(0.5 * (g + g.T), config)
@@ -223,13 +231,15 @@ def _gram_svd(g, r: int, config: Tolerances):
 def thin_svd(m, r: int, config: Tolerances = DEFAULT):
     """Leading left singular vectors and singular values of ``m``.
 
-    Up to a smaller side of ``config.svd_gram_max`` the dense path is one
-    LAPACK call: a wide matrix (n <= s) eigendecomposes its n-by-n Gram
-    matrix, and a tall one takes its thin SVD, whose small singular values
-    keep their accuracy (those of the s-by-s Gram matrix do not). Above
-    that size the ARPACK path calls scipy's ``svds``, which needs only
-    products with ``m`` and ``m^T`` and requires ``r`` below the smaller
-    side. A closed
+    Up to a smaller side of ``config.svd_gram_max`` the dense path
+    eigendecomposes the smaller Gram matrix with LAPACK. A tall matrix
+    (n > s) then forms U = M V / sigma from its s-by-s Gram matrix, which
+    holds sigma_r only while sigma_r^2 is well above rounding relative to
+    sigma_1^2 (GRAM_RESOLVED); below that it takes one LAPACK thin SVD,
+    whose small singular values keep their accuracy, at about five times
+    the time (n = 4000, s = 300 to 800). Above that size the ARPACK path
+    calls scipy's ``svds``, which needs only products with ``m`` and
+    ``m^T`` and requires ``r`` below the smaller side. A closed
     :class:`Snapshots` is taken through its accumulated Gram matrix, or its
     raw matrix if it kept one.
 
@@ -250,6 +260,12 @@ def thin_svd(m, r: int, config: Tolerances = DEFAULT):
         return _fix_signs(u[:, ::-1].copy()), sigma[::-1].copy()
     if n <= s:
         return _gram_svd(as_dense(m @ m.T), r, config)
+    g = as_dense(m.T @ m)
+    w, v = sym_eig_dense(0.5 * (g + g.T), config)
+    if w[r - 1] > GRAM_RESOLVED * w[0]:
+        sigma = np.sqrt(w[:r])
+        u = np.linalg.qr(m @ (v[:, :r] / sigma))[0]  # restore orthogonality
+        return _fix_signs(u), sigma
     u, sigma, _ = np.linalg.svd(as_dense(m), full_matrices=False)
     return _fix_signs(u[:, :r].copy()), sigma[:r].copy()
 

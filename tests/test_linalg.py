@@ -162,6 +162,20 @@ class TestThinSVD:
         assert np.all(s[1:] <= 1e-15 * s[0])
         assert np.linalg.norm(u.T @ u - np.eye(4), 2) <= 1e-12
 
+    def test_tall_resolved_spectrum_takes_no_full_svd(self, rng,
+                                                      monkeypatch):
+        # while the s-by-s Gram matrix resolves sigma_r it serves; the
+        # thin SVD of the n-by-s matrix costs about five times as much
+        m = rng.standard_normal((60, 12))
+        _, s_ref, _ = np.linalg.svd(m, full_matrices=False)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("full SVD taken")
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        u, s = thin_svd(m, 5)
+        assert np.allclose(s, s_ref[:5], rtol=1e-12)
+        assert np.linalg.norm(u.T @ u - np.eye(5), 2) <= 1e-14
+
     def test_orthonormal_for_decaying_spectrum(self, rng):
         # steeply decaying singular values stress the Gram-route accuracy
         u = random_orthonormal(rng, 200, 8)

@@ -70,7 +70,7 @@ class TestConstruction:
                               lambda x: -np.eye(2), x_star=np.ones(2))
         assert np.allclose(sys.x_star, 1.0)
 
-    def test_inputs_and_outputs_default_to_none(self):
+    def test_missing_inputs_and_outputs_are_zero_width(self):
         sys = NonlinearSystem(np.eye(3), lambda x: -x, lambda x: -np.eye(3))
         assert sys.b.shape == (3, 0) and sys.c.shape == (0, 3)
         assert (sys.n_in, sys.n_out) == (0, 0)
