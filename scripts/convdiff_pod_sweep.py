@@ -54,7 +54,7 @@ def main() -> int:
           f"r_max = {basis_full.r}")
 
     fom = analysis.integrate_trapezoidal(system, u, x0, (0.0, args.horizon),
-                                         steps=args.trapz_steps, states=False)
+                                         steps=args.trapz_steps)
     rows = []
     for r in range(1, basis_full.r + 1):
         basis = ProjectionBasis(v=basis_full.v[:, :r],
@@ -66,8 +66,7 @@ def main() -> int:
         alpha_stab = spectral_abscissa(red)
         rom_traj = analysis.integrate_trapezoidal(red, u, np.zeros(r),
                                                   (0.0, args.horizon),
-                                                  steps=args.trapz_steps,
-                                                  states=False)
+                                                  steps=args.trapz_steps)
         max_err, _ = analysis.output_error(fom, rom_traj)
         rows.append([r, alpha_conv, alpha_stab, max_err])
         print(f"r = {r:3d}  alpha conv {alpha_conv:+.3e}  "

@@ -15,11 +15,12 @@ of the three-term sum it is taken from.
 Time integration offers an embedded Dormand-Prince 5(4) pair with PI step
 control and a fixed-step trapezoidal rule. Both cost what their arithmetic
 costs on sparse models: a sparse diagonal mass matrix is divided out
-(``LinearSystem.solve_e``), the trapezoid factorizes E - h/2 A in the
-format of E and A, and each integrator holds its state history once, in
-preallocated rows; the trapezoid can also keep only the current state and
-return outputs alone (``states=False``). The Dormand-Prince integrator can
-harvest every internal stage state as a POD snapshot. Up to
+(``LinearSystem.solve_e``) and the trapezoid factorizes E - h/2 A in the
+format of E and A. Neither keeps a state history: states pass through one
+reused block of rows, whose outputs are formed as it fills, and a run
+returns the outputs and the final state (:class:`Trajectory`), in O(n)
+memory beyond its outputs. The Dormand-Prince integrator can harvest
+every internal stage state as a POD snapshot. Up to
 ``config.svd_gram_max`` states the harvest keeps only the n-by-n Gram
 matrix of the snapshots, accumulated block by block (O(n^2) memory); above
 it, it keeps the raw n-by-count snapshot matrix (O(n count)), which the
@@ -173,7 +174,8 @@ def h2_error(system_a: LinearSystem, system_b: LinearSystem | None = None,
     object (:func:`_squared_norm`); the cross term solves a sparse-dense
     Sylvester equation by one shifted solve per state of the second
     operand (Sorensen and Antoulas, 2002), whose size must be at most
-    ``config.dense_cap``.
+    ``config.dense_cap``; a larger one raises :class:`DenseCapExceeded`
+    before any Gramian is solved.
 
     Rounding: each squared norm carries the relative error bound of
     :func:`_squared_norm`, and the cross term, from backward-stable LU
@@ -184,15 +186,15 @@ def h2_error(system_a: LinearSystem, system_b: LinearSystem | None = None,
     reported as 0, and ``slack`` = sqrt(2 floor) bounds |value - sqrt(s*)|
     in both cases, since |sqrt(s) - sqrt(s*)| <= sqrt(|s - s*|).
     """
+    if system_b is not None and system_b.n > config.dense_cap:
+        raise DenseCapExceeded(
+            f"h2_error: second operand n = {system_b.n} exceeds the dense "
+            f"cap {config.dense_cap}")
     norm_a, eta_a = _squared_norm(system_a, config, "first")
     if system_b is None:
         norm_b = cross = eta_b = 0.0
     else:
         norm_b, eta_b = _squared_norm(system_b, config, "second")
-        if system_b.n > config.dense_cap:
-            raise DenseCapExceeded(
-                f"h2_error: second operand n = {system_b.n} exceeds the dense "
-                f"cap {config.dense_cap}")
         cross = _inner_product(system_a, system_b)
     square = norm_a + norm_b - 2.0 * cross
     floor = (eta_a * norm_a + eta_b * norm_b
@@ -226,40 +228,25 @@ def bode_data(system: LinearSystem, omega_min: float, omega_max: float,
     return rows
 
 
+@dataclass(eq=False)
 class Trajectory:
-    """Time grid, states, outputs, and integrator statistics of one run.
+    """Time grid, outputs, final state and integrator statistics of one run.
 
-    ``x`` is given as an array, or as a list of row blocks (the adaptive
-    integrator's form), which are joined into one array when ``x`` is
-    first read; callers that never read ``x`` never pay for the copy.
-    ``x=None`` marks an output-only run, whose ``x`` raises
-    ``AttributeError``.
+    Integrators keep no state history: ``y`` holds the outputs at every
+    grid point and ``x_end`` the state at the last one.
     """
 
-    def __init__(self, t, x, y, stats: dict,
-                 snapshots: Snapshots | None = None):
-        rows = (t.size if x is None else x.shape[0]
-                if isinstance(x, np.ndarray)
-                else sum(block.shape[0] for block in x))
-        if np.any(np.diff(t) <= 0.0):
-            raise ValueError("time points must be strictly increasing")
-        if rows != t.size or y.shape[0] != t.size:
-            raise ValueError("state/output sample counts must match the grid")
-        self.t = t
-        self._x = x
-        self.y = y
-        self.stats = stats
-        self.snapshots = snapshots
+    t: np.ndarray
+    y: np.ndarray
+    x_end: np.ndarray
+    stats: dict
+    snapshots: Snapshots | None = None
 
-    @property
-    def x(self) -> np.ndarray:
-        if self._x is None:
-            raise AttributeError(
-                "this trajectory kept no states; integrate with states=True "
-                "to read Trajectory.x")
-        if not isinstance(self._x, np.ndarray):
-            self._x = np.concatenate(self._x)
-        return self._x
+    def __post_init__(self):
+        if np.any(np.diff(self.t) <= 0.0):
+            raise ValueError("time points must be strictly increasing")
+        if self.y.shape[0] != self.t.size:
+            raise ValueError("output sample count must match the grid")
 
 
 def _normalize_input(u, n_in: int):
@@ -273,15 +260,8 @@ def _normalize_input(u, n_in: int):
     return u_fun
 
 
-def _output_map(system: DescriptorModel):
-    """Outputs of a block of state rows: rows @ C^T."""
-    c = system.c
-    return lambda xs: xs @ c.T
-
-
 def _prepare_system(system: DescriptorModel, u):
-    """Right-hand side f(t, x) = E^{-1}(A x or f(x) + B u(t)) and the output
-    map of :func:`_output_map`."""
+    """Right-hand side f(t, x) = E^{-1}(A x or f(x) + B u(t))."""
     u_fun = _normalize_input(u, system.n_in)
     drift = (system.apply_a if isinstance(system, LinearSystem)
              else lambda x: np.asarray(system.f(x), dtype=float))
@@ -291,7 +271,7 @@ def _prepare_system(system: DescriptorModel, u):
         if u_fun is not None:
             r = r + system.b @ u_fun(t)
         return system.solve_e(r)
-    return system.n, rhs, _output_map(system)
+    return rhs
 
 
 # Dormand-Prince 5(4) tableau; the last row doubles as the 5th-order weights
@@ -309,8 +289,9 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
                    11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
-# rows per block of a state history (adaptive integrator) and, at most, per
-# output block of the trapezoid rule
+# rows of the adaptive integrator's state buffer, and at most of the
+# trapezoid rule's; outputs are formed per full buffer, so a different size
+# moves them in the last bits
 _HISTORY_BLOCK = 1024
 
 
@@ -345,15 +326,15 @@ def integrate_adaptive(system: DescriptorModel, u, x0, t_span,
     n <= ``config.svd_gram_max`` it holds only their n-by-n Gram matrix,
     whatever the step count; above, it holds the raw n-by-count matrix.
 
-    Accepted states are written into row blocks of fixed size, whose
-    outputs are computed as each block fills, so the state history is held
-    once. ``Trajectory.x`` joins the blocks on its first read; a caller
-    that only harvests snapshots never pays for that copy.
+    Accepted states are written into one reused buffer of
+    ``_HISTORY_BLOCK`` rows, whose outputs are computed each time it
+    fills; the run returns the outputs and the final state.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("need t1 > t0")
-    n, rhs, out = _prepare_system(system, u)
+    n, c = system.n, system.c
+    rhs = _prepare_system(system, u)
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (n,):
         raise ValueError(f"x0 must have length {n}")
@@ -363,7 +344,7 @@ def integrate_adaptive(system: DescriptorModel, u, x0, t_span,
     stages = 1
     h = span / fixed_steps if fixed_steps else _initial_step(
         rhs, t0, x, f_now, rtol, atol, span)
-    ts, blocks, ys = [t0], [], []
+    ts, ys = [t0], []
     block = np.empty((_HISTORY_BLOCK, n))
     block[0] = x
     fill = 1
@@ -402,9 +383,7 @@ def integrate_adaptive(system: DescriptorModel, u, x0, t_span,
             f_now = k[6]  # FSAL: last stage sits at the new point
             ts.append(t)
             if fill == _HISTORY_BLOCK:
-                blocks.append(block)
-                ys.append(out(block))
-                block = np.empty((_HISTORY_BLOCK, n))
+                ys.append(block @ c.T)
                 fill = 0
             block[fill] = x
             fill += 1
@@ -421,12 +400,10 @@ def integrate_adaptive(system: DescriptorModel, u, x0, t_span,
         else:
             rejected += 1
             h *= min(1.0, max(0.1, 0.9 * err ** -0.2))
-    blocks.append(block[:fill])
-    ys.append(out(block[:fill]))
+    ys.append(block[:fill] @ c.T)
     stats = {"steps": steps, "rejected_steps": rejected, "stage_count": stages}
-    return Trajectory(t=np.asarray(ts), x=blocks, y=np.concatenate(ys),
-                      stats=stats,
-                      snapshots=snaps.close() if harvest_snapshots else None)
+    return Trajectory(np.asarray(ts), np.concatenate(ys), x, stats,
+                      snaps.close() if harvest_snapshots else None)
 
 
 def _trapezoid_forcing(b, u_fun, times, h):
@@ -448,45 +425,39 @@ def _trapezoid_forcing(b, u_fun, times, h):
 
 
 # Values per output block of the trapezoid rule: blocks of _HISTORY_BLOCK
-# rows up to n = 64, fewer rows above, so an output-only run holds O(n)
+# rows up to n = 64, fewer rows above, so a run holds O(n) state values
 _TRAPEZOID_BLOCK_VALUES = 1 << 16
 
 
-def _trapezoid_run(step, x0, steps: int, out, forcing, states: bool):
-    """States x_i+1 = step(x_i, input term of step i) from x0, and outputs.
+def _trapezoid_run(step, x0, steps: int, c, forcing):
+    """Outputs of the states x_i+1 = step(x_i, input term of step i) from
+    x0, and the last state.
 
     States, input terms (from :func:`_trapezoid_forcing`, or None) and
-    outputs are formed per block of rows. With ``states`` the blocks are
-    row ranges of one (steps + 1)-by-n array, which is returned; without,
-    they are one reused buffer and None is returned. The blocks have the
-    same shapes either way, so the outputs are bitwise the same. Returns
-    ``(states or None, outputs)``.
+    outputs C x are formed per block of rows in one reused buffer, so a
+    run holds O(n) values beyond its outputs. Returns ``(outputs, x_end)``.
     """
     rows = min(steps + 1, _HISTORY_BLOCK,
                max(1, _TRAPEZOID_BLOCK_VALUES // x0.size))
-    xs = np.empty((steps + 1, x0.size)) if states else None
-    buffer = None if states else np.empty((rows, x0.size))
+    buffer = np.empty((rows, x0.size))
+    buffer[0] = x0
     ys = []
     x = x0
     for start in range(0, steps + 1, rows):
         stop = min(start + rows, steps + 1)
-        block = xs[start:stop] if states else buffer[:stop - start]
-        if start == 0:
-            block[0] = x0
         first = max(start, 1)
         terms = (itertools.repeat(None) if forcing is None
                  else forcing(first - 1, stop - 1))
         for i, term in zip(range(first - start, stop - start), terms):
             x = step(x, term)
-            block[i] = x
-        ys.append(out(block))
-    return xs, np.concatenate(ys)
+            buffer[i] = x
+        ys.append(buffer[:stop - start] @ c.T)
+    return np.concatenate(ys), x
 
 
 def integrate_trapezoidal(system: DescriptorModel, u, x0, t_span, steps: int,
                           newton_tol: float = 1e-10,
-                          max_newton: int = 25, *,
-                          states: bool = True) -> Trajectory:
+                          max_newton: int = 25) -> Trajectory:
     """Fixed-step trapezoidal rule.
 
     The input is evaluated once per grid point. Linear systems factorize
@@ -501,11 +472,8 @@ def integrate_trapezoidal(system: DescriptorModel, u, x0, t_span, steps: int,
     integration, since the Newton matrix E - h/2 J is factorized densely
     anyway.
 
-    With ``states`` (the default) every state is kept, in one
-    (steps + 1)-by-n array. ``states=False`` keeps only the current state
-    and one block of at most 2^16 values for the outputs, and the returned
-    trajectory has no ``x``. The outputs come from blocks of the same rows
-    in both cases and are bitwise equal.
+    Only the current state and one block of at most 2^16 state values are
+    held; the run returns the outputs and the final state.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -575,11 +543,10 @@ def integrate_trapezoidal(system: DescriptorModel, u, x0, t_span, steps: int,
             raise ConvergenceFailure(
                 f"Newton iteration stalled at t = {times[taken + 1]:.6e}")
 
-    xs, ys = _trapezoid_run(step, x0, steps, _output_map(system), forcing,
-                            states)
-    return Trajectory(t=times, x=xs, y=ys,
-                      stats={"steps": steps, "rejected_steps": 0,
-                             "stage_count": steps if linear else newton_total})
+    ys, x_end = _trapezoid_run(step, x0, steps, system.c, forcing)
+    return Trajectory(times, ys, x_end,
+                      {"steps": steps, "rejected_steps": 0,
+                       "stage_count": steps if linear else newton_total})
 
 
 def output_error(traj_a: Trajectory, traj_b: Trajectory,

@@ -103,14 +103,12 @@ def _parse_r_list(spec: str, n: int) -> list[int]:
 
 def _print_stability_summary(system: LinearSystem) -> dict:
     rep = stability_report(system, ell=min(system.n, 16))
-    alpha = None
-    if system.n <= DEFAULT.dense_cap:
-        alpha = rep.alpha
-        print(f"spectral abscissa: {alpha:.6e}")
+    if rep.alpha is not None:
+        print(f"spectral abscissa: {rep.alpha:.6e}")
     k_note = ">=" if rep.incomplete else "="
     print(f"non-negative symmetric-part eigenvalues: k {k_note} {rep.k}, "
           f"mu_max = {rep.mu_max:.6e}")
-    return {"alpha": alpha, "k": rep.k, "k_is_lower_bound": rep.incomplete,
+    return {"alpha": rep.alpha, "k": rep.k, "k_is_lower_bound": rep.incomplete,
             "mu_max": rep.mu_max}
 
 
@@ -238,8 +236,7 @@ def cmd_reduce(args) -> int:
     fom_traj = analysis.integrate_trapezoidal(system, input_fun,
                                               np.zeros(system.n),
                                               (0.0, args.horizon),
-                                              steps=args.trapz_steps,
-                                              states=False)
+                                              steps=args.trapz_steps)
     rows = []
     failures = 0
     roms_dir = out_dir / "roms"
@@ -280,7 +277,7 @@ def cmd_reduce(args) -> int:
                     row.append(None)  # H2 undefined for unstable models
                 rom_traj = analysis.integrate_trapezoidal(
                     deliver, input_fun, np.zeros(r), (0.0, args.horizon),
-                    steps=args.trapz_steps, states=False)
+                    steps=args.trapz_steps)
                 max_err, _ = analysis.output_error(fom_traj, rom_traj)
                 row.append(max_err)
         except StabmorError as exc:
@@ -321,8 +318,7 @@ def cmd_simulate(args) -> int:
     if kind == "trapezoid":
         steps = int(arg) if arg else 1000
         traj = analysis.integrate_trapezoidal(target, input_fun, x0,
-                                              (0.0, args.horizon), steps=steps,
-                                              states=False)
+                                              (0.0, args.horizon), steps=steps)
     elif kind == "adaptive":
         rtol = float(arg) if arg else 1e-6
         traj = analysis.integrate_adaptive(target, input_fun, x0,

@@ -227,9 +227,13 @@ class SymmetricSpectrum:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Summary of the two stability notions for one system."""
+    """Summary of the two stability notions for one system.
 
-    alpha: float
+    ``alpha``, the spectral abscissa, is None above ``config.dense_cap``,
+    where it is not computed.
+    """
+
+    alpha: float | None
     dissipative: bool
     k: int
     mu_max: float
@@ -316,7 +320,8 @@ def stability_report(sys: LinearSystem, ell: int | None = None,
     if ell is None:
         ell = min(sys.n, 10)
     frag = symmetric_part_spectrum(sys, ell, config)
-    alpha = spectral_abscissa(sys, config)
+    alpha = (spectral_abscissa(sys, config) if sys.n <= config.dense_cap
+             else None)
     return StabilityReport(alpha=alpha, dissipative=frag.mu_max < 0.0,
                            k=frag.k, mu_max=frag.mu_max,
                            incomplete=frag.incomplete)

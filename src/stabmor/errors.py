@@ -13,7 +13,7 @@ class SingularE(SingularMatrix):
     """The mass matrix cannot be factorized."""
 
 
-class SingularReducedMass(SingularMatrix):
+class SingularReducedMass(SingularE):
     """Reduced mass matrix is singular; the stabilized path avoids this."""
 
 

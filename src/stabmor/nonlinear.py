@@ -22,6 +22,7 @@ from .dynsys import (DescriptorModel, LinearSystem, StabilityReport,
                      stability_report)
 from .errors import EquilibriumResidualTooLarge
 from .linalg import as_dense
+from .projection import _reduced_mass
 from .stabilize import StabilizerFactor
 
 __all__ = [
@@ -129,8 +130,10 @@ def nonlinear_reduce(sys: NonlinearSystem, basis,
     With ``stab`` (assembled from the linearization at the equilibrium)
     the test basis W = M~ E V and the symmetric positive definite reduced
     mass matrix come from :meth:`StabilizerFactor.test_basis`; without it
-    the conventional W = V is used. The system is shifted so the reduced
-    equilibrium sits at the origin.
+    the conventional W = V is used, and a singular V^T E V raises
+    :class:`~stabmor.errors.SingularReducedMass` as in
+    :func:`~stabmor.projection.galerkin_reduce`. The system is shifted so
+    the reduced equilibrium sits at the origin.
     """
     shifted = shift_to_origin(sys, config)
     v = basis.v if hasattr(basis, "v") else np.asarray(basis, dtype=float)
@@ -138,7 +141,7 @@ def nonlinear_reduce(sys: NonlinearSystem, basis,
         raise ValueError(f"basis has {v.shape[0]} rows, system has n = {sys.n}")
     if stab is None:
         w = v
-        ebar = w.T @ as_dense(shifted.e @ v)
+        ebar = _reduced_mass(shifted.e, v, w)
     else:
         w, ebar = stab.test_basis(v)
 

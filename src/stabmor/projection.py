@@ -99,6 +99,26 @@ class ReducedSystem(LinearSystem):
         return self
 
 
+def _reduced_mass(e, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """W^T E V, or :class:`SingularReducedMass` if it is singular.
+
+    Singularity is judged on the scale of E V and W, not of W^T E V
+    itself: an orthogonal-looking W, or an indefinite E, can make W^T E V
+    uniformly tiny, which a pivot test relative to its own entries passes.
+    """
+    ev = as_dense(e @ v)
+    ebar = np.asarray(w.T @ ev)
+    scale = np.linalg.norm(ev, 2) * max(np.linalg.norm(w, 2), 1e-300)
+    sigma_min = np.linalg.svd(ebar, compute_uv=False).min()
+    if sigma_min <= 1e-13 * scale:
+        raise SingularReducedMass(
+            f"reduced mass matrix W^T E V is singular to working precision "
+            f"(sigma_min = {sigma_min:.3e} at scale {scale:.3e}); the "
+            "stabilized reduction (stabilize.stabilized_reduce) guarantees "
+            "a positive definite one")
+    return ebar
+
+
 def galerkin_reduce(sys: LinearSystem, basis: ProjectionBasis,
                     w: np.ndarray | None = None) -> ReducedSystem:
     """Project a system onto ``basis``; ``w`` defaults to the trial basis."""
@@ -109,19 +129,8 @@ def galerkin_reduce(sys: LinearSystem, basis: ProjectionBasis,
         w = v
     elif w.shape != v.shape:
         raise ValueError("test basis W must have the same shape as V")
-    ev = as_dense(sys.e @ v)
-    ebar = np.asarray(w.T @ ev)
-    # singularity is judged on the scale of E V and W, not of ebar itself:
-    # an orthogonal-looking W can make W^T E V uniformly tiny
-    scale = np.linalg.norm(ev, 2) * max(np.linalg.norm(w, 2), 1e-300)
-    sigma_min = np.linalg.svd(ebar, compute_uv=False).min()
-    if sigma_min <= 1e-13 * scale:
-        raise SingularReducedMass(
-            f"reduced mass matrix W^T E V is singular to working precision "
-            f"(sigma_min = {sigma_min:.3e} at scale {scale:.3e}); the "
-            "stabilized reduction (stabilize.stabilized_reduce) guarantees "
-            "a positive definite one")
-    return ReducedSystem(ebar, np.asarray(w.T @ as_dense(sys.a @ v)),
+    return ReducedSystem(_reduced_mass(sys.e, v, w),
+                         np.asarray(w.T @ as_dense(sys.a @ v)),
                          np.asarray(w.T @ sys.b), np.asarray(sys.c @ v),
                          method=basis.method, stabilized=False)
 

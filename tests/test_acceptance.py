@@ -297,14 +297,14 @@ def test_criterion_08_integrator_orders(announce):
     for steps in (50, 100, 200, 400):
         traj = analysis.integrate_trapezoidal(lag, zero, np.array([1.0]),
                                               (0.0, 1.0), steps=steps)
-        trap_errs.append(abs(traj.x[-1, 0] - exact))
+        trap_errs.append(abs(traj.x_end[0] - exact))
     trap_slopes = np.log2(np.array(trap_errs[:-1]) / np.array(trap_errs[1:]))
 
     adapt_errs = []
     for steps in (20, 40, 80):
         traj = analysis.integrate_adaptive(lag, zero, np.array([1.0]),
                                            (0.0, 1.0), fixed_steps=steps)
-        adapt_errs.append(abs(traj.x[-1, 0] - exact))
+        adapt_errs.append(abs(traj.x_end[0] - exact))
     adapt_slopes = np.log2(np.array(adapt_errs[:-1])
                            / np.array(adapt_errs[1:]))
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from stabmor import analysis, benchgen, cli
-from stabmor.dynsys import LinearSystem, save_system
+from stabmor.config import DEFAULT
+from stabmor.dynsys import LinearSystem, save_system, stability_report
 
 
 def read_csv(path):
@@ -90,6 +91,21 @@ class TestGenerate:
         assert manifest["nonlinear"]["kind"] == "cubic_msd"
         assert manifest["nonlinear"]["gamma"] == 0.7
         assert manifest["n"] == 6
+
+    def test_stability_summary_above_the_dense_cap(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # above the cap no abscissa is computed; k and mu_max still are
+        capped = DEFAULT.with_(dense_cap=40)
+        monkeypatch.setattr(
+            cli, "stability_report",
+            lambda system, ell: stability_report(system, ell, capped))
+        out = tmp_path / "msd30"
+        assert cli.main(["generate", "msd", "--masses", "30",
+                         "--out", str(out)]) == 0
+        assert "spectral abscissa" not in capsys.readouterr().out
+        stability = json.loads((out / "report.json").read_text())["stability"]
+        assert stability["alpha"] is None
+        assert stability["k"] >= 1 and stability["mu_max"] > 0.0
 
     def test_module_is_runnable_as_subprocess(self, tmp_path):
         out = tmp_path / "fom"

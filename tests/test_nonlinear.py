@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from stabmor import analysis, benchgen
 from stabmor.dynsys import LinearSystem, stability_report
-from stabmor.errors import EquilibriumResidualTooLarge, SingularE
+from stabmor.errors import (EquilibriumResidualTooLarge, SingularE,
+                            SingularReducedMass)
 from stabmor.nonlinear import (
     NonlinearSystem,
     equilibrium_stability,
@@ -205,8 +206,8 @@ class TestNonlinearReduce:
                                                 (0.0, 3.0), steps=600)
         t_stab = analysis.integrate_trapezoidal(stabilized, None, x0,
                                                 (0.0, 3.0), steps=600)
-        assert np.abs(t_conv.x[-1]) > 5.0 * np.abs(x0)
-        assert np.abs(t_stab.x[-1]) < np.abs(x0)
+        assert np.abs(t_conv.x_end) > 5.0 * np.abs(x0)
+        assert np.abs(t_stab.x_end) < np.abs(x0)
 
     def test_reduced_equilibrium_at_origin_after_shift(self):
         nl = benchgen.gen_cubic_msd(masses=4, gamma=0.8)
@@ -230,6 +231,15 @@ class TestNonlinearReduce:
         v[2, 1] = 1.0
         basis = external_basis(v)
         with pytest.raises(SingularE):
+            nonlinear_reduce(nl, basis)
+
+    def test_tiny_reduced_mass_rejected_on_the_scale_of_e_v(self):
+        # V^T E V = 0 up to rounding (-2.2e-17) for E = diag(1, -1): a pivot
+        # test relative to the 1-by-1 matrix itself would accept it
+        e = np.diag([1.0, -1.0])
+        nl = NonlinearSystem(e, lambda x: -x, lambda x: -np.eye(2))
+        basis = external_basis(np.full((2, 1), 1.0 / np.sqrt(2.0)))
+        with pytest.raises(SingularReducedMass, match="at scale"):
             nonlinear_reduce(nl, basis)
 
     def test_reduction_evaluates_no_full_order_callback(self, rng):
@@ -281,7 +291,7 @@ class TestStabilizedSweep:
         rom = nonlinear_reduce(nl, basis, stab=stab)
         x0 = 0.1 * gen.standard_normal(4)
         traj = analysis.integrate_adaptive(rom, None, x0, (0.0, 80.0))
-        assert np.linalg.norm(traj.x[-1]) < 1e-2 * np.linalg.norm(x0)
+        assert np.linalg.norm(traj.x_end) < 1e-2 * np.linalg.norm(x0)
 
 
 class TestTrajectoryConsistency:
