@@ -340,10 +340,11 @@ def integrate_adaptive(system: DescriptorModel, u, x0, t_span,
         raise ValueError(f"x0 must have length {n}")
     span = t1 - t0
     t = t0
-    f_now = rhs(t, x)
+    k = np.zeros((7, n))
+    k[0] = rhs(t, x)
     stages = 1
     h = span / fixed_steps if fixed_steps else _initial_step(
-        rhs, t0, x, f_now, rtol, atol, span)
+        rhs, t0, x, k[0], rtol, atol, span)
     ts, ys = [t0], []
     block = np.empty((_HISTORY_BLOCK, n))
     block[0] = x
@@ -351,7 +352,6 @@ def integrate_adaptive(system: DescriptorModel, u, x0, t_span,
     snaps = Snapshots(n, config) if harvest_snapshots else None
     if harvest_snapshots:
         snaps.append(x)
-    k = np.zeros((7, n))
     err_prev = 1e-4
     steps = rejected = 0
     while t < t1 - 1e-14 * span:
@@ -362,7 +362,6 @@ def integrate_adaptive(system: DescriptorModel, u, x0, t_span,
         if not fixed_steps and h < 1e-14 * span:
             raise StepSizeUnderflow(
                 f"step size underflow at t = {t:.6e} (h = {h:.3e})")
-        k[0] = f_now
         stage_states = []
         for i in range(1, 7):
             xi = x + h * (_DP_A[i] @ k[:i])
@@ -380,7 +379,9 @@ def integrate_adaptive(system: DescriptorModel, u, x0, t_span,
         if accept:
             t = t1 if t1 - (t + h) < 1e-14 * span else t + h
             x = x5
-            f_now = k[6]  # FSAL: last stage sits at the new point
+            # FSAL: the last stage sits at the new point. k[0] changes on
+            # acceptance only; a rejected trial's k[6] is not f(t, x)
+            k[0] = k[6]
             ts.append(t)
             if fill == _HISTORY_BLOCK:
                 ys.append(block @ c.T)
