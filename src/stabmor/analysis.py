@@ -48,7 +48,7 @@ from .errors import (
     StepSizeUnderflow,
     UnstableOperand,
 )
-from .linalg import Snapshots, as_dense, lu_factor
+from .linalg import Snapshots, _matvec_into, as_dense, lu_factor
 from .stabilize import (
     _shifted_pencil,
     solve_lyapunov_dense,
@@ -250,10 +250,11 @@ class Trajectory:
 
 
 def _normalize_input(u, n_in: int):
+    """u(t) as a float vector, a scalar repeated over n_in inputs; or None."""
     if u is None or n_in == 0:
         return None
     def u_fun(t):
-        val = np.atleast_1d(np.asarray(u(t), dtype=float))
+        val = np.asarray(u(t), dtype=float).reshape(-1)
         if val.size == 1 and n_in > 1:
             val = np.full(n_in, val[0])
         return val
@@ -261,16 +262,34 @@ def _normalize_input(u, n_in: int):
 
 
 def _prepare_system(system: DescriptorModel, u):
-    """Right-hand side f(t, x) = E^{-1}(A x or f(x) + B u(t))."""
-    u_fun = _normalize_input(u, system.n_in)
-    drift = (system.apply_a if isinstance(system, LinearSystem)
-             else lambda x: np.asarray(system.f(x), dtype=float))
+    """Right-hand side ``rhs(t, x, out)``: out = E^{-1}(A x or f(x) + B u(t)).
 
-    def rhs(t, x):
-        r = drift(x)
+    Bound once per run, so that a call costs about what its kernels cost:
+    A x from :func:`~stabmor.linalg._matvec_into`, the input term from
+    ``np.dot(B, u(t))``, and E divided out in place when the model found it
+    a sparse diagonal (``DescriptorModel._e_diagonal``), else solved with
+    its LU factors. ``out`` is bitwise E^{-1}(A x + B u) formed out of
+    place. Returns ``out``.
+    """
+    u_fun = _normalize_input(u, system.n_in)
+    b, diagonal, solve_e = system.b, system._e_diagonal, system.solve_e
+    if isinstance(system, LinearSystem):
+        drift = _matvec_into(system.a)
+    else:
+        f = system.f
+
+        def drift(x, out):
+            out[...] = f(x)
+
+    def rhs(t, x, out):
+        drift(x, out)
         if u_fun is not None:
-            r = r + system.b @ u_fun(t)
-        return system.solve_e(r)
+            out += np.dot(b, u_fun(t))
+        if diagonal is not None:
+            out /= diagonal
+        else:
+            out[...] = solve_e(out)
+        return out
     return rhs
 
 
@@ -289,6 +308,7 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
                    11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = _DP_B5 - _DP_B4  # weights of the embedded error estimate
 # rows of the adaptive integrator's state buffer, and at most of the
 # trapezoid rule's; outputs are formed per full buffer, so a different size
 # moves them in the last bits
@@ -301,7 +321,7 @@ def _initial_step(rhs, t0, x0, f0, rtol, atol, span):
     d1 = np.linalg.norm(f0 / sc) / np.sqrt(x0.size)
     h0 = 1e-6 * span if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     x1 = x0 + h0 * f0
-    f1 = rhs(t0 + h0, x1)
+    f1 = rhs(t0 + h0, x1, np.empty_like(x0))
     d2 = np.linalg.norm((f1 - f0) / sc) / np.sqrt(x0.size) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6 * span, h0 * 1e-3)
@@ -329,6 +349,14 @@ def integrate_adaptive(system: DescriptorModel, u, x0, t_span,
     Accepted states are written into one reused buffer of
     ``_HISTORY_BLOCK`` rows, whose outputs are computed each time it
     fills; the run returns the outputs and the final state.
+
+    Each stage state is formed in a preallocated row as
+    ``h (a_i . k_{<i}) + x``, and each derivative is written straight into
+    its row of k by the bound right-hand side of :func:`_prepare_system`.
+    So a stage costs about a sparse matvec plus a few vector operations,
+    and every result is bitwise that of the textbook out-of-place scheme.
+    The first stage of a trial is the last stage of the previous accepted
+    one (first same as last); a rejected trial leaves it untouched.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -341,7 +369,7 @@ def integrate_adaptive(system: DescriptorModel, u, x0, t_span,
     span = t1 - t0
     t = t0
     k = np.zeros((7, n))
-    k[0] = rhs(t, x)
+    rhs(t, x, k[0])
     stages = 1
     h = span / fixed_steps if fixed_steps else _initial_step(
         rhs, t0, x, k[0], rtol, atol, span)
@@ -352,6 +380,8 @@ def integrate_adaptive(system: DescriptorModel, u, x0, t_span,
     snaps = Snapshots(n, config) if harvest_snapshots else None
     if harvest_snapshots:
         snaps.append(x)
+    stage_x = np.empty((6, n))  # the states of stages 1 to 6
+    x5, diff = np.empty(n), np.empty(n)
     err_prev = 1e-4
     steps = rejected = 0
     while t < t1 - 1e-14 * span:
@@ -362,23 +392,27 @@ def integrate_adaptive(system: DescriptorModel, u, x0, t_span,
         if not fixed_steps and h < 1e-14 * span:
             raise StepSizeUnderflow(
                 f"step size underflow at t = {t:.6e} (h = {h:.3e})")
-        stage_states = []
         for i in range(1, 7):
-            xi = x + h * (_DP_A[i] @ k[:i])
-            k[i] = rhs(t + _DP_C[i] * h, xi)
-            stages += 1
-            stage_states.append(xi)
-        x5 = x + h * (_DP_B5 @ k)
+            row = stage_x[i - 1]
+            np.dot(_DP_A[i], k[:i], out=row)
+            row *= h
+            row += x
+            rhs(t + _DP_C[i] * h, row, k[i])
+        stages += 6
+        np.dot(_DP_B5, k, out=x5)
+        x5 *= h
+        x5 += x
         if fixed_steps:
             accept = True
         else:
-            diff = h * ((_DP_B5 - _DP_B4) @ k)
+            np.dot(_DP_E, k, out=diff)
+            diff *= h
             sc = atol + rtol * np.maximum(np.abs(x), np.abs(x5))
             err = float(np.linalg.norm(diff / sc) / np.sqrt(n))
             accept = err <= 1.0
         if accept:
             t = t1 if t1 - (t + h) < 1e-14 * span else t + h
-            x = x5
+            x, x5 = x5, x
             # FSAL: the last stage sits at the new point. k[0] changes on
             # acceptance only; a rejected trial's k[6] is not f(t, x)
             k[0] = k[6]
@@ -389,8 +423,8 @@ def integrate_adaptive(system: DescriptorModel, u, x0, t_span,
             block[fill] = x
             fill += 1
             if harvest_snapshots:
-                for xi in stage_states[:-1]:  # the last stage equals x5
-                    snaps.append(xi)
+                for row in stage_x[:5]:  # the last stage equals x5
+                    snaps.append(row)
                 snaps.append(x)
             steps += 1
             if not fixed_steps:
@@ -415,11 +449,12 @@ def _trapezoid_forcing(b, u_fun, times, h):
     """
     if u_fun is None:
         return None
-    last = b @ u_fun(times[0])
+    last = np.dot(b, u_fun(times[0]))
 
     def terms(i0, i1):
         nonlocal last
-        bu = np.asarray([last] + [b @ u_fun(t) for t in times[i0 + 1:i1 + 1]])
+        bu = np.asarray([last] + [np.dot(b, u_fun(t))
+                                  for t in times[i0 + 1:i1 + 1]])
         last = bu[-1]
         return 0.5 * h * (bu[:-1] + bu[1:])
     return terms
@@ -494,20 +529,21 @@ def integrate_trapezoidal(system: DescriptorModel, u, x0, t_span, steps: int,
 
     if linear:
         e, a = system.e, system.a
+        r = np.empty(system.n)  # E x + h/2 (A x), overwritten every step
         if sp.issparse(e) and sp.issparse(a):
-            fwd = (e + 0.5 * h * a).tocsr()
+            fwd = _matvec_into((e + 0.5 * h * a).tocsr())
             def explicit_half(x):
-                return fwd @ x
+                return fwd(x, r)
         else:
             e, a = as_dense(e), as_dense(a)
+            e_x, a_x = _matvec_into(e), _matvec_into(a)
+            ax = np.empty(system.n)
             def explicit_half(x):
-                # E x + h/2 (A x), rounded as the dense step always was; the
-                # in-place updates only save temporaries
-                r = e @ x
-                ax = a @ x
-                ax *= 0.5 * h
-                r += ax
-                return r
+                # rounded as the dense step always was: (E x) + (h/2 (A x))
+                out, half = e_x(x, r), a_x(x, ax)
+                half *= 0.5 * h
+                out += half
+                return out
         try:
             lhs = lu_factor(e - 0.5 * h * a, context="trapezoidal step matrix")
         except SingularMatrix as exc:

@@ -15,6 +15,7 @@ import scipy.io
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from .config import DEFAULT, Tolerances
 from .errors import ConvergenceFailure, SingularMatrix, SymmetryViolation
@@ -38,6 +39,34 @@ def as_dense(m) -> np.ndarray:
     if sp.issparse(m):
         return m.toarray()
     return np.asarray(m)
+
+
+def _matvec_into(m):
+    """``f(x, out)`` that writes ``m @ x`` into ``out`` and returns it.
+
+    Bound once per matrix, for products taken once per time step or stage.
+    A float64 CSR or CSC matrix calls the ``_sparsetools`` kernel that
+    ``m @ x`` itself calls, on a zeroed ``out``; a dense one calls
+    ``np.dot``. Both give ``m @ x`` bitwise, without scipy's dispatch and
+    allocation per call. Any other matrix falls back to ``m @ x``.
+    """
+    if sp.issparse(m) and m.format in ("csr", "csc") and m.dtype == np.float64:
+        kernel = getattr(_sparsetools, m.format + "_matvec")
+        rows, cols = m.shape
+        indptr, indices, data = m.indptr, m.indices, m.data
+
+        def matvec(x, out):
+            out.fill(0.0)
+            kernel(rows, cols, indptr, indices, data, x, out)
+            return out
+    elif isinstance(m, np.ndarray):
+        def matvec(x, out):
+            return np.dot(m, x, out=out)
+    else:
+        def matvec(x, out):
+            out[...] = m @ x
+            return out
+    return matvec
 
 
 def _check_pivots(diag, context: str):

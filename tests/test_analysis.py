@@ -45,7 +45,11 @@ from stabmor.stabilize import (
     solve_lyapunov_dense,
     stabilized_reduce,
 )
-from tests.conftest import cubic_msd_block_jacobian
+from tests.conftest import (
+    cubic_msd_block_jacobian,
+    reference_dp5,
+    reference_trapezoid,
+)
 
 
 def scalar_lag() -> LinearSystem:
@@ -497,6 +501,74 @@ class TestLinearTrapezoid:
         with pytest.raises(ValueError):
             integrate_trapezoidal(benchgen.gen_convection_diffusion(n=10),
                                   None, np.zeros(1), (0.0, 1.0), steps=10)
+
+
+def bitwise_cases():
+    """(label, system, input, x0, span): the systems whose integration must
+    be bitwise the textbook out-of-place schemes'."""
+    cd = benchgen.gen_convection_diffusion(n=100)
+    x0 = np.random.default_rng(5).standard_normal(100)
+    msd = benchgen.gen_msd_chain(masses=30)
+    dense = LinearSystem(msd.e.toarray(), msd.a.toarray(), msd.b, msd.c)
+    csc = LinearSystem(cd.e, cd.a.tocsc(), cd.b, cd.c)
+    sine = make_input("sine", period=0.3)
+    return [
+        ("convdiff step", cd, make_input("step"), np.zeros(100), (0.0, 2.0)),
+        ("convdiff sine", cd, sine, np.zeros(100), (0.0, 2.0)),
+        ("convdiff zero input, x0 != 0", cd, make_input("zero"), x0,
+         (0.0, 1.0)),
+        ("msd30 sparse", msd, make_input("sine", period=2.0), np.zeros(60),
+         (0.0, 5.0)),
+        ("msd30 dense", dense, make_input("sine", period=2.0), np.zeros(60),
+         (0.0, 5.0)),
+        ("tridiagonal sparse E", consistent_mass_convdiff(60), sine,
+         np.zeros(60), (0.0, 1.0)),
+        ("CSC A", csc, sine, np.zeros(100), (0.0, 1.0)),
+    ]
+
+
+class TestBitwiseStages:
+    """Both integrators against textbook out-of-place schemes, bitwise.
+
+    The integrators bind each right-hand side once and form stages in
+    preallocated rows; neither may move a result in its last bit.
+    """
+
+    @pytest.mark.parametrize("case", range(7))
+    def test_dp5_matches_the_out_of_place_scheme(self, case):
+        label, sys, u, x0, span = bitwise_cases()[case]
+        got = integrate_adaptive(sys, u, x0, span)
+        t, y, x_end, stats, _ = reference_dp5(sys, u, x0, span)
+        assert got.stats == stats, label
+        for a, b in ((got.t, t), (got.y, y), (got.x_end, x_end)):
+            np.testing.assert_array_equal(a, b, err_msg=label)
+
+    @pytest.mark.parametrize("case", range(7))
+    def test_trapezoid_matches_the_out_of_place_step(self, case):
+        label, sys, u, x0, span = bitwise_cases()[case]
+        got = integrate_trapezoidal(sys, u, x0, span, steps=300)
+        y, x_end = reference_trapezoid(sys, u, x0, span, 300)
+        np.testing.assert_array_equal(got.y, y, err_msg=label)
+        np.testing.assert_array_equal(got.x_end, x_end, err_msg=label)
+
+    def test_snapshot_gram_matches_the_out_of_place_harvest(self):
+        sys = benchgen.gen_convection_diffusion(n=100)
+        got = convdiff_harvest(t1=1.0)
+        want = reference_dp5(sys, make_input("step"), np.zeros(100),
+                             (0.0, 1.0), harvest=True)[4]
+        assert got.snapshots.shape == want.shape
+        np.testing.assert_array_equal(got.snapshots.gram, want.gram)
+
+    def test_cubic_chain_dp5_matches_the_out_of_place_scheme(self):
+        sys = benchgen.gen_cubic_msd(masses=10)
+        u = make_input("sine", period=4.0)
+        got = integrate_adaptive(sys, u, np.zeros(20), (0.0, 5.0))
+        t, y, x_end, stats, _ = reference_dp5(sys, u, np.zeros(20),
+                                              (0.0, 5.0))
+        assert got.stats == stats
+        np.testing.assert_array_equal(got.t, t)
+        np.testing.assert_array_equal(got.y, y)
+        np.testing.assert_array_equal(got.x_end, x_end)
 
 
 class TestOutputOnlyTrapezoid:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from stabmor.config import DEFAULT
 from stabmor.errors import ConvergenceFailure, SingularMatrix
 from stabmor.linalg import (
+    _matvec_into,
     as_dense,
     dense_abscissa,
     lu_factor,
@@ -104,6 +105,27 @@ class TestLU:
         x_true = gen.standard_normal(n)
         x = lu_factor(a).solve(a @ x_true)
         assert np.allclose(x, x_true, atol=1e-8)
+
+
+class TestMatvecInto:
+    """The bound product writes m @ x into ``out`` bitwise, for each kind
+    of matrix, whatever ``out`` held before."""
+
+    def test_bitwise_m_at_x_over_sixteen_decades(self, rng):
+        sparse = sp.random(80, 80, density=0.1, random_state=7,
+                           format="csr") - 3.0 * sp.identity(80, format="csr")
+        mats = {"csr": sparse, "csc": sparse.tocsc(),
+                "dense": sparse.toarray(),
+                "dense, Fortran order": np.asfortranarray(sparse.toarray()),
+                "coo (fallback)": sparse.tocoo()}
+        for label, m in mats.items():
+            matvec = _matvec_into(m)
+            out = np.full(80, np.nan)
+            for scale in 10.0 ** np.arange(-8, 9):
+                x = scale * rng.standard_normal(80)
+                got = matvec(x, out)
+                assert got is out, label
+                np.testing.assert_array_equal(out, m @ x, err_msg=label)
 
 
 class TestSymEig:
