@@ -285,7 +285,8 @@ def solve_lyapunov_lradi(a, e, u_tilde: np.ndarray,
     Each real shift appends k columns to Z, a complex conjugate pair
     appends 2k and counts as two steps. Stops at ``steps`` or when the
     relative residual drops below ``config.lradi_residual``, whichever
-    happens first.
+    happens first. The shifts cycle, and each distinct one is factorized
+    once per call.
 
     Returns ``(z, residual_history)`` where the history starts with the
     initial relative residual 1.0.
@@ -305,23 +306,30 @@ def solve_lyapunov_lradi(a, e, u_tilde: np.ndarray,
         return np.zeros((n, 0)), [0.0]
     history = [1.0]
     num = len(shifts)
+    # (shift used, LU of A + shift E) per requested shift: the shifts cycle,
+    # so each is factorized once, its perturbed retry included
+    factors: dict[complex, tuple] = {}
+
+    def factor(shift):
+        return lu_factor(_shifted_pencil(a, e, shift),
+                         context=f"ADI shift {shift}")
     j = 0
     while j < steps and history[-1] > config.lradi_residual:
-        p = shifts[j % num]
-
-        def factor(shift):
-            return lu_factor(_shifted_pencil(a, e, shift),
-                             context=f"ADI shift {shift}")
-        try:
-            lu = factor(p)
-        except SingularMatrix:
-            p = complex(p.real * (1.0 + 1e-6), p.imag * (1.0 + 1e-6))
+        requested = complex(shifts[j % num])
+        if requested not in factors:
+            p = requested
             try:
                 lu = factor(p)
-            except SingularMatrix as exc:
-                raise ShiftFailure(
-                    f"shift {p} hits the pencil spectrum even after "
-                    f"perturbation") from exc
+            except SingularMatrix:
+                p = complex(p.real * (1.0 + 1e-6), p.imag * (1.0 + 1e-6))
+                try:
+                    lu = factor(p)
+                except SingularMatrix as exc:
+                    raise ShiftFailure(
+                        f"shift {p} hits the pencil spectrum even after "
+                        f"perturbation") from exc
+            factors[requested] = p, lu
+        p, lu = factors[requested]
         if p.imag == 0.0:
             v = lu.solve(w, trans=True)
             w = w - (2.0 * p.real) * as_dense(e.T @ v)
