@@ -16,7 +16,12 @@ Time integration offers an embedded Dormand-Prince 5(4) pair with PI step
 control and a fixed-step trapezoidal rule. Both cost what their arithmetic
 costs on sparse models: a sparse diagonal mass matrix is divided out
 (``LinearSystem.solve_e``) and the trapezoid factorizes E - h/2 A in the
-format of E and A. Neither keeps a state history: states pass through one
+format of E and A. Each run binds its model's right-hand side once: A x
+goes straight to scipy's sparse kernel or to ``np.dot``
+(``linalg._matvec_into``), and Dormand-Prince forms every stage in a
+preallocated row, so a stage costs about one sparse matvec and a few
+vector operations. Results are bitwise those of the textbook out-of-place
+schemes. Neither keeps a state history: states pass through one
 reused block of rows, whose outputs are formed as it fills, and a run
 returns the outputs and the final state (:class:`Trajectory`), in O(n)
 memory beyond its outputs. The Dormand-Prince integrator can harvest

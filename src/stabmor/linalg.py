@@ -56,6 +56,11 @@ def _matvec_into(m):
         indptr, indices, data = m.indptr, m.indices, m.data
 
         def matvec(x, out):
+            # the kernel checks no lengths: a short x or out would be read
+            # or written past its end
+            if x.shape != (cols,) or out.shape != (rows,):
+                raise ValueError(f"matvec of a {rows}-by-{cols} matrix: x has "
+                                 f"shape {x.shape}, out {out.shape}")
             out.fill(0.0)
             kernel(rows, cols, indptr, indices, data, x, out)
             return out

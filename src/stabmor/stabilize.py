@@ -306,29 +306,28 @@ def solve_lyapunov_lradi(a, e, u_tilde: np.ndarray,
         return np.zeros((n, 0)), [0.0]
     history = [1.0]
     num = len(shifts)
-    # (shift used, LU of A + shift E) per requested shift: the shifts cycle,
-    # so each is factorized once, its perturbed retry included
-    factors: dict[complex, tuple] = {}
 
-    def factor(shift):
-        return lu_factor(_shifted_pencil(a, e, shift),
-                         context=f"ADI shift {shift}")
+    def factor(p):
+        """(shift used, LU of A + shift E); a shift that hits the pencil
+        spectrum is perturbed once."""
+        try:
+            return p, lu_factor(_shifted_pencil(a, e, p),
+                                context=f"ADI shift {p}")
+        except SingularMatrix:
+            p = complex(p.real * (1.0 + 1e-6), p.imag * (1.0 + 1e-6))
+        try:
+            return p, lu_factor(_shifted_pencil(a, e, p),
+                                context=f"ADI shift {p}")
+        except SingularMatrix as exc:
+            raise ShiftFailure(f"shift {p} hits the pencil spectrum even "
+                               f"after perturbation") from exc
+
+    factors = {}  # per requested shift, since the shifts cycle
     j = 0
     while j < steps and history[-1] > config.lradi_residual:
         requested = complex(shifts[j % num])
         if requested not in factors:
-            p = requested
-            try:
-                lu = factor(p)
-            except SingularMatrix:
-                p = complex(p.real * (1.0 + 1e-6), p.imag * (1.0 + 1e-6))
-                try:
-                    lu = factor(p)
-                except SingularMatrix as exc:
-                    raise ShiftFailure(
-                        f"shift {p} hits the pencil spectrum even after "
-                        f"perturbation") from exc
-            factors[requested] = p, lu
+            factors[requested] = factor(requested)
         p, lu = factors[requested]
         if p.imag == 0.0:
             v = lu.solve(w, trans=True)

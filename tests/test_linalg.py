@@ -127,6 +127,12 @@ class TestMatvecInto:
                 assert got is out, label
                 np.testing.assert_array_equal(out, m @ x, err_msg=label)
 
+    def test_wrong_lengths_rejected_before_the_kernel(self):
+        matvec = _matvec_into(sp.identity(5, format="csr"))
+        for x, out in ((np.ones(4), np.empty(5)), (np.ones(5), np.empty(4))):
+            with pytest.raises(ValueError):
+                matvec(x, out)
+
 
 class TestSymEig:
     def test_two_by_two_oracle(self):
