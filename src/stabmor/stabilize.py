@@ -285,8 +285,7 @@ def solve_lyapunov_lradi(a, e, u_tilde: np.ndarray,
     Each real shift appends k columns to Z, a complex conjugate pair
     appends 2k and counts as two steps. Stops at ``steps`` or when the
     relative residual drops below ``config.lradi_residual``, whichever
-    happens first. The shifts cycle, and each distinct one is factorized
-    once per call.
+    happens first.
 
     Returns ``(z, residual_history)`` where the history starts with the
     initial relative residual 1.0.
@@ -306,29 +305,23 @@ def solve_lyapunov_lradi(a, e, u_tilde: np.ndarray,
         return np.zeros((n, 0)), [0.0]
     history = [1.0]
     num = len(shifts)
-
-    def factor(p):
-        """(shift used, LU of A + shift E); a shift that hits the pencil
-        spectrum is perturbed once."""
-        try:
-            return p, lu_factor(_shifted_pencil(a, e, p),
-                                context=f"ADI shift {p}")
-        except SingularMatrix:
-            p = complex(p.real * (1.0 + 1e-6), p.imag * (1.0 + 1e-6))
-        try:
-            return p, lu_factor(_shifted_pencil(a, e, p),
-                                context=f"ADI shift {p}")
-        except SingularMatrix as exc:
-            raise ShiftFailure(f"shift {p} hits the pencil spectrum even "
-                               f"after perturbation") from exc
-
-    factors = {}  # per requested shift, since the shifts cycle
     j = 0
     while j < steps and history[-1] > config.lradi_residual:
-        requested = complex(shifts[j % num])
-        if requested not in factors:
-            factors[requested] = factor(requested)
-        p, lu = factors[requested]
+        p = shifts[j % num]
+
+        def factor(shift):
+            return lu_factor(_shifted_pencil(a, e, shift),
+                             context=f"ADI shift {shift}")
+        try:
+            lu = factor(p)
+        except SingularMatrix:
+            p = complex(p.real * (1.0 + 1e-6), p.imag * (1.0 + 1e-6))
+            try:
+                lu = factor(p)
+            except SingularMatrix as exc:
+                raise ShiftFailure(
+                    f"shift {p} hits the pencil spectrum even after "
+                    f"perturbation") from exc
         if p.imag == 0.0:
             v = lu.solve(w, trans=True)
             w = w - (2.0 * p.real) * as_dense(e.T @ v)

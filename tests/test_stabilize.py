@@ -24,7 +24,6 @@ from stabmor.errors import (
     StabmorError,
     UnstablePencil,
 )
-from stabmor.linalg import lu_factor
 from stabmor.projection import external_basis, galerkin_reduce
 from stabmor.stabilize import (
     StabilizerFactor,
@@ -317,48 +316,6 @@ class TestLRADI:
         cycles = hist[[i for i, j in enumerate(js) if j % len(shifts) == 0]]
         assert len(cycles) >= 4
         assert np.all(np.diff(cycles) <= 1e-12)
-
-    def test_each_distinct_shift_factorized_once(self, monkeypatch):
-        sys = benchgen.gen_convection_diffusion(n=120)
-        rhs = build_stab_factor_F(sys)
-        shifts = np.atleast_1d(np.asarray(penzl_shifts(sys.a, sys.e),
-                                          dtype=complex))
-        factored = []
-
-        def counted(m, context="lu_factor"):
-            factored.append(context)
-            return lu_factor(m, context=context)
-
-        monkeypatch.setattr(stabilize, "lu_factor", counted)
-        _, history = solve_lyapunov_lradi(
-            sys.a, sys.e, rhs.u_tilde, steps=4 * len(shifts), shifts=shifts,
-            config=DEFAULT.with_(lradi_residual=1e-15))
-        # a conjugate pair is taken through its first member; four cycles
-        # take each shift four times, and factorize it once
-        taken, j = 0, 0
-        while j < len(shifts):
-            taken += 1
-            j += 1 if shifts[j].imag == 0.0 else 2
-        assert len(history) - 1 == 4 * taken
-        assert len(factored) == len(set(factored)) == taken
-
-    def test_perturbed_retry_is_factorized_once(self, monkeypatch):
-        # -1 hits the pencil's eigenvalue 1 (A + pE is singular there), so
-        # the perturbed shift is taken, once per call, on every cycle
-        a = np.diag([1.0, -2.0, -3.0])
-        calls = []
-
-        def counted(m, context="lu_factor"):
-            calls.append(context)
-            return lu_factor(m, context=context)
-
-        monkeypatch.setattr(stabilize, "lu_factor", counted)
-        z, history = solve_lyapunov_lradi(
-            a, np.eye(3), np.ones((3, 1)), steps=6,
-            shifts=np.array([-1.0, -2.5]),
-            config=DEFAULT.with_(lradi_residual=0.0))
-        assert len(history) == 7 and z.shape == (3, 6)
-        assert len(calls) == 3  # -1 fails, its perturbation, then -2.5
 
     def test_positive_shift_rejected(self, rng):
         with pytest.raises(ValueError):
