@@ -267,14 +267,12 @@ def _normalize_input(u, n_in: int):
 
 
 def _prepare_system(system: DescriptorModel, u):
-    """Right-hand side ``rhs(t, x, out)``: out = E^{-1}(A x or f(x) + B u(t)).
+    """``rhs(t, x, out)`` writes E^{-1}(A x or f(x) + B u(t)) into ``out``.
 
-    Bound once per run, so that a call costs about what its kernels cost:
-    A x from :func:`~stabmor.linalg._matvec_into`, the input term from
-    ``np.dot(B, u(t))``, and E divided out in place when the model found it
-    a sparse diagonal (``DescriptorModel._e_diagonal``), else solved with
-    its LU factors. ``out`` is bitwise E^{-1}(A x + B u) formed out of
-    place. Returns ``out``.
+    Bound once per run, so a call costs about what its kernels cost: A x
+    from :func:`~stabmor.linalg._matvec_into`, B u(t) from ``np.dot``, and
+    a diagonal E (``DescriptorModel._e_diagonal``) divided out in place,
+    any other solved with its LU factors; bitwise the out-of-place result.
     """
     u_fun = _normalize_input(u, system.n_in)
     b, diagonal, solve_e = system.b, system._e_diagonal, system.solve_e
@@ -355,13 +353,11 @@ def integrate_adaptive(system: DescriptorModel, u, x0, t_span,
     ``_HISTORY_BLOCK`` rows, whose outputs are computed each time it
     fills; the run returns the outputs and the final state.
 
-    Each stage state is formed in a preallocated row as
-    ``h (a_i . k_{<i}) + x``, and each derivative is written straight into
-    its row of k by the bound right-hand side of :func:`_prepare_system`.
-    So a stage costs about a sparse matvec plus a few vector operations,
-    and every result is bitwise that of the textbook out-of-place scheme.
-    The first stage of a trial is the last stage of the previous accepted
-    one (first same as last); a rejected trial leaves it untouched.
+    Stage states are formed in preallocated rows as h (a_i k) + x, and
+    each derivative is written into its row of k by :func:`_prepare_system`,
+    bitwise as the textbook out-of-place scheme forms them. The first
+    stage of a trial is the last of the previous accepted one (first same
+    as last); a rejected trial leaves it untouched.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
