@@ -280,6 +280,11 @@ def cmd_reduce(args) -> int:
                     steps=args.trapz_steps)
                 max_err, _ = analysis.output_error(fom_traj, rom_traj)
                 row.append(max_err)
+            if args.stabilize and alpha_stab is not None and alpha_stab >= 0.0:
+                # an uncertified factor can deliver an unstable model
+                print(f"r = {r}: stabilized model is not stable (spectral "
+                      f"abscissa {alpha_stab:.6e} >= 0)", file=sys.stderr)
+                failures += 1
         except StabmorError as exc:
             print(f"r = {r}: {exc}", file=sys.stderr)
             while len(row) < 5:

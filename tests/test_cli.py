@@ -194,6 +194,28 @@ class TestReduce:
         assert "numerical failure" in capsys.readouterr().err
         assert not (out / "error_sweep.csv").exists()
 
+    def test_unstable_stabilized_model_exits_3(self, tmp_path, capsys):
+        # 10 ADI steps leave the convdiff n = 100 factor uncertified, and
+        # its stabilized r = 1 model has abscissa +0.196
+        fom = tmp_path / "cd"
+        assert cli.main(["generate", "convdiff", "--n", "100",
+                         "--out", str(fom)]) == 0
+        out = tmp_path / "red"
+        assert cli.main(["reduce", "--bundle", str(fom), "--r", "1:4",
+                         "--stabilize", "--out",
+                         str(out)]) == cli.NUMERICAL_ERROR
+        err = capsys.readouterr().err
+        assert "r = 1: stabilized model is not stable" in err
+        assert "r = 2:" not in err
+        columns, rows = read_csv(out / "error_sweep.csv")
+        stab = floats(column(rows, columns, "spectral_abscissa_stabilized"))
+        assert stab[0] >= 0.0 and np.all(stab[1:] < 0.0)
+        # the row keeps its values; H2 is undefined for the unstable model
+        assert column(rows, columns, "h2_error")[0] == "NA"
+        assert np.isfinite(float(column(rows, columns,
+                                        "max_output_error")[0]))
+        assert json.loads((out / "report.json").read_text())["failures"] == 1
+
     def test_expansion_point_on_pole_exits_3(self, tmp_path):
         fom = make_unstable_bundle(tmp_path / "unst")
         assert cli.main(["reduce", "--bundle", str(fom), "--r", "1",
