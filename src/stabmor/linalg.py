@@ -8,7 +8,7 @@ to ARPACK, always from a seeded start vector so that runs repeat bitwise.
 
 from __future__ import annotations
 
-import warnings
+import functools
 
 import numpy as np
 import scipy.io
@@ -84,12 +84,27 @@ def _check_pivots(diag, context: str):
                              f"(pivot ratio {diag.min():.3e} / {dmax:.3e})")
 
 
+@functools.lru_cache(maxsize=None)
+def _lapack_lu(dtype: np.dtype):
+    """LAPACK ``getrf`` and ``getrs`` for one input dtype, looked up once.
+
+    The prefix is the one ``scipy.linalg.lu_factor`` picks for that dtype
+    (``d`` for integers), so the factors are bitwise its factors.
+    """
+    return sla.get_lapack_funcs(("getrf", "getrs"), dtype=dtype)
+
+
 class LUFactorization:
     """LU factors of a square matrix with forward/transposed solves.
 
-    Wraps either ``scipy.linalg.lu_factor`` (dense) or SuperLU (sparse).
-    ``solve`` accepts vectors or matrices; complex right-hand sides on a
-    real factorization are split into real and imaginary solves.
+    Dense input is factorized by LAPACK ``getrf`` directly: the routine
+    ``scipy.linalg.lu_factor`` calls, with the same dtype rules and
+    bitwise the same factors, without its per-call overhead (a reduced
+    Newton run factorizes a small matrix at every iterate). The input is
+    never overwritten. Sparse input goes to SuperLU. A pivot below 1e-14
+    of the largest raises :class:`SingularMatrix`. ``solve`` accepts
+    vectors or matrices; complex right-hand sides on a real factorization
+    are split into real and imaginary solves.
     """
 
     def __init__(self, m, context: str = "lu_factor"):
@@ -105,13 +120,16 @@ class LUFactorization:
             _check_pivots(self._splu.U.diagonal(), context)
         else:
             m = np.asarray(m)
-            with warnings.catch_warnings():
-                # singular pivots are re-checked below with a clearer error
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                self._lu, self._piv = sla.lu_factor(m, check_finite=False)
+            getrf, self._getrs = _lapack_lu(m.dtype)
+            if m.size == 0:  # lu_factor's result for an empty matrix
+                self._lu = np.empty_like(m)
+                self._piv = np.arange(0, dtype=np.int32)
+            else:
+                # a zero pivot (info > 0) is caught by the pivot check below
+                self._lu, self._piv, info = getrf(m)
+                if info < 0:
+                    raise ValueError(f"getrf: illegal value in argument {-info}")
             _check_pivots(np.diag(self._lu), context)
-            # the LAPACK routine lu_solve calls, looked up once
-            self._getrs, = sla.get_lapack_funcs(("getrs",), (self._lu,))
         self.dtype = (self._splu.U.dtype if self.sparse else self._lu.dtype)
 
     def solve(self, b, trans: bool = False):

@@ -84,6 +84,35 @@ class TestLU:
         with pytest.raises(ValueError):
             lu.solve(np.ones(3))
 
+    def test_dense_factors_are_scipy_lu_factor(self, rng):
+        # getrf called directly: bitwise lu_factor's factors, pivots and
+        # dtypes, and the input left as it was
+        real = rng.standard_normal((9, 9))
+        cases = [real, real + 1j * rng.standard_normal((9, 9)),
+                 rng.integers(-9, 10, (9, 9)) + 30 * np.eye(9, dtype=int)]
+        for base in cases:
+            wide = np.repeat(np.repeat(base, 2, axis=0), 3, axis=1)
+            for m in (base, np.asfortranarray(base), wide[::2, ::3]):
+                before = m.copy()
+                want_lu, want_piv = sla.lu_factor(m)
+                lu = lu_factor(m)
+                assert np.array_equal(lu._lu, want_lu)
+                assert np.array_equal(lu._piv, want_piv)
+                assert lu._lu.dtype == want_lu.dtype
+                assert lu._piv.dtype == want_piv.dtype
+                assert np.array_equal(m, before)
+        assert lu_factor(np.zeros((0, 0))).solve(np.zeros(0)).shape == (0,)
+
+    def test_exactly_singular_dense_raises(self):
+        # getrf reports an exact zero pivot (info > 0); the pivot check
+        # turns it into the typed error, for float and integer input
+        for m in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((3, 3)),
+                  np.array([[1, 2], [2, 4]])):
+            before = m.copy()
+            with pytest.raises(SingularMatrix):
+                lu_factor(m)
+            assert np.array_equal(m, before)
+
     def test_singular_dense_raises(self):
         with pytest.raises(SingularMatrix):
             lu_factor(np.array([[1.0, 2.0], [0.5, 1.0]]))
