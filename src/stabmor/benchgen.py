@@ -222,9 +222,12 @@ def gen_cubic_msd(masses: int = 4, mass: float = 1.0, stiffness: float = 1.0,
 
     The equilibrium stays at zero and the Jacobian there equals the linear
     chain's system matrix exactly, so gamma = 0 recovers the linear model.
-    The cubic terms only change the diagonal of A's -K block, whose entries
-    are all stored (stiffness > 0), so the Jacobian is a copy of A with m
-    values updated in place; each call returns a new CSR matrix.
+    The system is structured (:meth:`NonlinearSystem.structured`):
+    f(x) = A x + P g(Q^T x) with A the linear chain's matrix, Q^T x = q
+    the m positions, P placing g(q) = -gamma q^3 on the m velocity rows,
+    and g'(q) = -3 gamma q^2 on the diagonal of A's -K block, whose
+    entries are all stored (stiffness > 0). Each ``jac`` call returns a
+    new CSR matrix, and reduced models never call the full-order model.
     """
     if output_node is None:
         output_node = masses - 1
@@ -234,21 +237,7 @@ def gen_cubic_msd(masses: int = 4, mass: float = 1.0, stiffness: float = 1.0,
     e, a, b, c = _msd_first_order(kmat, dmat, mmat, masses,
                                   input_node, output_node)
     m = masses
-    a.sum_duplicates()  # canonical CSR: sorted indices, one slot per entry
-    rows = np.repeat(np.arange(2 * m), np.diff(a.indptr))
-    slots = np.flatnonzero((rows >= m) & (a.indices == rows - m))
-    if slots.size != m:
-        raise ValueError(f"expected {m} stored entries on the diagonal of the "
-                         f"-K block of A, found {slots.size}")
-
-    def f(x):
-        out = np.asarray(a @ x).copy()
-        out[m:] -= gamma * x[:m] ** 3
-        return out
-
-    def jac(x):
-        out = a.copy()
-        out.data[slots] -= 3.0 * gamma * x[:m] ** 2
-        return out
-
-    return NonlinearSystem(e, f, jac, b=b, c=c)
+    return NonlinearSystem.structured(
+        e, a, rows=np.arange(m, 2 * m), cols=np.arange(m),
+        g=lambda q: -gamma * q ** 3, dg=lambda q: -3.0 * gamma * q ** 2,
+        b=b, c=c)

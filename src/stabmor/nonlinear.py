@@ -9,6 +9,13 @@ inherits the equilibrium xbar* = 0 (after shifting x* to the origin), and
 choosing W = M~ E V with the transformation built from the linearization
 makes the reduced equilibrium asymptotically stable for every orthonormal
 V, exactly as in the linear case.
+
+A system may carry the structure f(x) = A x + P g(Q^T x), with sparse A,
+selectors P and Q and a componentwise g (:meth:`NonlinearSystem.structured`).
+Its reduced model then precomputes W^T A V, W^T P and Q^T V once and
+evaluates f and its Jacobian at O(r^2 + r m) and O(r^2 m) per call, with
+m the number of nonlinear terms, without touching the full-order model.
+Opaque callbacks are projected at full order at every call.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .config import DEFAULT, Tolerances
 from .dynsys import (DescriptorModel, LinearSystem, StabilityReport,
@@ -26,6 +34,7 @@ from .projection import _reduced_mass
 from .stabilize import StabilizerFactor
 
 __all__ = [
+    "Structure",
     "NonlinearSystem",
     "NonlinearROM",
     "shift_to_origin",
@@ -36,15 +45,81 @@ __all__ = [
 ]
 
 
+def _selector(idx: np.ndarray):
+    """``idx`` as a slice when it is an ascending run of consecutive
+    indices, so that ``x[idx]`` is a view; else ``idx`` itself."""
+    if idx.size and np.all(np.diff(idx) == 1):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+class Structure:
+    """f(x) = A x + P g(Q^T x), with P = I[:, rows] and Q = I[:, cols].
+
+    A is kept as canonical float CSR, not copied (as E is not); ``rows``
+    must be distinct, and ``g`` and its derivative ``dg`` act
+    componentwise on Q^T x. The Jacobian A + P diag(g'(Q^T x)) Q^T differs
+    from A only in the slots (rows[i], cols[i]), located once here; each
+    must be stored in A (an explicit zero will do), else ``ValueError``.
+    """
+
+    def __init__(self, a, rows, cols, g: Callable, dg: Callable):
+        a = (a.tocsr() if sp.issparse(a) else sp.csr_matrix(a)).astype(
+            float, copy=False)
+        a.sum_duplicates()  # canonical CSR: sorted indices, one slot per entry
+        n = a.shape[0]
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        if a.shape != (n, n):
+            raise ValueError(f"A must be square, got shape {a.shape}")
+        if rows.ndim != 1 or rows.shape != cols.shape:
+            raise ValueError("rows and cols must be index vectors of one length")
+        if rows.size and (min(rows.min(), cols.min()) < 0
+                          or max(rows.max(), cols.max()) >= n):
+            raise ValueError(f"rows and cols must lie in [0, {n})")
+        if np.unique(rows).size != rows.size:
+            raise ValueError("rows must be distinct")
+        # stored entries in storage order have increasing keys row * n + col,
+        # then a sentinel -1 for slots past the last entry
+        keys = np.append(np.repeat(np.arange(n), np.diff(a.indptr)) * n
+                         + a.indices, -1)
+        want = rows * n + cols
+        slots = np.searchsorted(keys[:-1], want)
+        missing = np.flatnonzero(keys[slots] != want)
+        if missing.size:
+            raise ValueError(f"A stores {want.size - missing.size} of the "
+                             f"{want.size} entries the Jacobian updates; "
+                             f"none at ({rows[missing[0]]}, "
+                             f"{cols[missing[0]]})")
+        self.a, self.rows, self.cols, self.g, self.dg = a, rows, cols, g, dg
+        self.slots = slots
+        self._rows, self._cols = _selector(rows), _selector(cols)
+
+    def f(self, x):
+        out = self.a @ x
+        out[self._rows] += self.g(x[self._cols])
+        return out
+
+    def jac(self, x):
+        out = self.a.copy()
+        out.data[self.slots] += self.dg(x[self._cols])
+        return out
+
+
 class NonlinearSystem(DescriptorModel):
     """Autonomous nonlinear descriptor system E x' = f(x) (+ B u).
 
     ``f`` and ``jac`` are callbacks; ``jac`` must return the n-by-n
     Jacobian (sparse or dense) of f as a matrix the caller owns: each call
     returns a new object, which callers may keep or modify without
-    affecting ``f`` or later calls. The designated equilibrium ``x_star``
-    is verified at construction. Constant inputs can be folded into f;
+    affecting ``f`` or later calls. Both are plain instance attributes, so
+    a caller may wrap them. The designated equilibrium ``x_star`` is
+    verified at construction. Constant inputs can be folded into f;
     B and C are optional for forced simulation and output extraction.
+
+    ``structure`` is the :class:`Structure` of a system built by
+    :meth:`structured`, whose ``f`` and ``jac`` are then the structure's;
+    it is None for opaque callbacks.
     """
 
     def __init__(self, e, f: Callable, jac: Callable,
@@ -54,6 +129,7 @@ class NonlinearSystem(DescriptorModel):
         n = self.n
         self.f = f
         self.jac = jac
+        self.structure: Structure | None = None
         self.x_star = (np.zeros(n) if x_star is None
                        else np.asarray(x_star, dtype=float))
         if self.x_star.shape != (n,):
@@ -66,10 +142,30 @@ class NonlinearSystem(DescriptorModel):
                 f"||f(x*)|| = {residual:.3e} exceeds "
                 f"{config.equilibrium_residual:.1e} * scale ({scale:.3e})")
 
+    @classmethod
+    def structured(cls, e, a, rows, cols, g: Callable, dg: Callable,
+                   x_star: np.ndarray | None = None, b=None, c=None,
+                   config: Tolerances = DEFAULT) -> "NonlinearSystem":
+        """System with f(x) = A x + P g(Q^T x); see :class:`Structure`.
+
+        ``f(x)`` is ``A x`` with ``g(x[cols])`` added at ``rows``;
+        ``jac(x)`` is a new CSR copy of A with ``dg(x[cols])`` added in its
+        stored slots. :func:`nonlinear_reduce` projects the structure
+        itself, so the reduced model never calls ``f`` or ``jac``.
+        """
+        structure = Structure(a, rows, cols, g, dg)
+        sys = cls(e, structure.f, structure.jac, x_star, b, c, config)
+        sys.structure = structure
+        return sys
+
 
 def shift_to_origin(sys: NonlinearSystem,
                     config: Tolerances = DEFAULT) -> NonlinearSystem:
-    """Move the designated equilibrium to the origin: g(x) = f(x + x*)."""
+    """Move the designated equilibrium to the origin: g(x) = f(x + x*).
+
+    A system whose equilibrium is already 0 is returned as it is. Any
+    other comes back with opaque callbacks, without its structure.
+    """
     if not np.any(sys.x_star):
         return sys
     x_star = sys.x_star.copy()
@@ -94,9 +190,11 @@ def equilibrium_stability(sys: NonlinearSystem, ell: int | None = None,
 class NonlinearROM(DescriptorModel):
     """Reduced nonlinear model Ebar xbar' = fbar(xbar) (+ Bbar u).
 
-    ``f`` and ``jac`` are the projected callbacks W^T f(V .) and
-    W^T jac(V .) V; ``f(0) = 0`` holds because reduction happens in
-    shifted coordinates, so construction evaluates neither. ``x_star`` is
+    ``f`` and ``jac`` evaluate W^T f(V .) and W^T jac(V .) V, each call
+    returning a new array: from the precomputed reduced structure when the
+    full-order system has one, else by projecting its callbacks. ``f(0) =
+    0`` holds because reduction happens in shifted coordinates, so
+    construction evaluates neither. ``x_star`` is
     the full-order equilibrium. ``ebar``, ``bbar``, ``cbar`` and ``r`` are
     the reduced names of E, B, C and n.
     """
@@ -134,6 +232,13 @@ def nonlinear_reduce(sys: NonlinearSystem, basis,
     :class:`~stabmor.errors.SingularReducedMass` as in
     :func:`~stabmor.projection.galerkin_reduce`. The system is shifted so
     the reduced equilibrium sits at the origin.
+
+    A structured system (:meth:`NonlinearSystem.structured`) with x* = 0
+    is reduced through its structure: Abar = W^T (A V), Pbar = W[rows]^T
+    and Qbar = V[cols] are formed here, and the model evaluates
+    Abar xbar + Pbar g(Qbar xbar) and Abar + (Pbar diag(g'(Qbar xbar)))
+    Qbar without calling the full-order ``f`` or ``jac``. Opaque
+    callbacks, and any system with x* != 0, are projected at every call.
     """
     shifted = shift_to_origin(sys, config)
     v = basis.v if hasattr(basis, "v") else np.asarray(basis, dtype=float)
@@ -145,11 +250,24 @@ def nonlinear_reduce(sys: NonlinearSystem, basis,
     else:
         w, ebar = stab.test_basis(v)
 
-    def fbar(xbar, w=w, v=v, shifted=shifted):
-        return w.T @ np.asarray(shifted.f(v @ xbar), dtype=float)
+    s = shifted.structure
+    if s is None:
+        def fbar(xbar, w=w, v=v, shifted=shifted):
+            return w.T @ np.asarray(shifted.f(v @ xbar), dtype=float)
 
-    def jbar(xbar, w=w, v=v, shifted=shifted):
-        return np.asarray(w.T @ as_dense(shifted.jac(v @ xbar) @ v))
+        def jbar(xbar, w=w, v=v, shifted=shifted):
+            return np.asarray(w.T @ as_dense(shifted.jac(v @ xbar) @ v))
+    else:
+        # W^T f(V xbar) = Abar xbar + Pbar g(Qbar xbar), exactly
+        abar = np.asarray(w.T @ as_dense(s.a @ v))
+        # views of W and V when rows and cols are ranges, as in the chain
+        pbar, qbar, g, dg = w[s._rows].T, v[s._cols], s.g, s.dg
+
+        def fbar(xbar):
+            return abar @ xbar + pbar @ g(qbar @ xbar)
+
+        def jbar(xbar):
+            return abar + (pbar * dg(qbar @ xbar)) @ qbar
 
     return NonlinearROM(ebar, fbar, jbar, w.T @ shifted.b, shifted.c @ v,
                         v=v, w=w, stabilized=stab is not None,

@@ -65,6 +65,34 @@ def cubic_msd_block_jacobian(masses: int, gamma: float = 0.5):
     return jac
 
 
+def cubic_msd_closures(masses: int, gamma: float = 0.5):
+    """``(f, jac)`` of ``gen_cubic_msd`` as plain closures over A.
+
+    The form the generator had before it declared its structure: f(x) =
+    A x with gamma q^3 subtracted on the velocity rows, and jac(x) a copy
+    of A with 3 gamma q^2 subtracted in the stored diagonal slots of its
+    -K block, found by a search of A's CSR pattern.
+    """
+    a = benchgen.gen_msd_chain(masses=masses).a.tocsr(copy=True)
+    a.sum_duplicates()
+    m = masses
+    rows = np.repeat(np.arange(2 * m), np.diff(a.indptr))
+    slots = np.flatnonzero((rows >= m) & (a.indices == rows - m))
+    assert slots.size == m
+
+    def f(x):
+        out = np.asarray(a @ x).copy()
+        out[m:] -= gamma * x[:m] ** 3
+        return out
+
+    def jac(x):
+        out = a.copy()
+        out.data[slots] -= 3.0 * gamma * x[:m] ** 2
+        return out
+
+    return f, jac
+
+
 def _block_outputs(states, c, rows: int) -> np.ndarray:
     """C x of every state, formed per block of ``rows`` states, as the
     integrators form them (a different split moves the last bits)."""

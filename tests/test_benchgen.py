@@ -15,7 +15,7 @@ from stabmor.dynsys import (
 )
 from stabmor.errors import ResampleExhausted
 from stabmor.nonlinear import finite_difference_jacobian
-from tests.conftest import cubic_msd_block_jacobian
+from tests.conftest import cubic_msd_block_jacobian, cubic_msd_closures
 
 
 class TestMsdChain:
@@ -228,6 +228,34 @@ class TestCubicMsd:
         second.data *= -1.0
         assert np.array_equal(nl.jac(x).toarray(), want_j)
         assert np.array_equal(nl.f(y), want_f)
+
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.7])
+    def test_structured_f_and_jac_are_the_closures_bitwise(self, rng, gamma):
+        nl = benchgen.gen_cubic_msd(masses=30, gamma=gamma)
+        f, jac = cubic_msd_closures(30, gamma)
+        for scale in 10.0 ** np.arange(-8, 9):
+            x = scale * rng.standard_normal(60)
+            assert np.array_equal(nl.f(x), f(x))
+            j, want = nl.jac(x), jac(x)
+            assert j.format == "csr"
+            assert np.array_equal(j.indptr, want.indptr)
+            assert np.array_equal(j.indices, want.indices)
+            assert np.array_equal(j.data, want.data)
+
+    def test_declares_its_structure(self):
+        nl = benchgen.gen_cubic_msd(masses=4, gamma=0.5)
+        s = nl.structure
+        assert np.array_equal(s.rows, np.arange(4, 8))
+        assert np.array_equal(s.cols, np.arange(4))
+        assert np.array_equal(s.a.toarray(),
+                              benchgen.gen_msd_chain(masses=4).a.toarray())
+        q = np.array([-2.0, -0.5, 0.0, 3.0])
+        assert np.array_equal(s.g(q), -0.5 * q ** 3)
+        assert np.array_equal(s.dg(q), -1.5 * q ** 2)
+        # f and jac are the structure's, as plain instance attributes
+        assert nl.f == s.f and nl.jac == s.jac
+        assert "f" in vars(nl) and "jac" in vars(nl)
 
 
 class TestGlobalInvariants:

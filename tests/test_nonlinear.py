@@ -3,15 +3,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabmor import analysis, benchgen
+from stabmor import analysis, benchgen, projection
 from stabmor.dynsys import LinearSystem, stability_report
 from stabmor.errors import (EquilibriumResidualTooLarge, SingularE,
                             SingularReducedMass)
 from stabmor.nonlinear import (
     NonlinearSystem,
+    Structure,
     equilibrium_stability,
     finite_difference_jacobian,
     linearize,
@@ -267,6 +269,194 @@ class TestNonlinearReduce:
         nl = benchgen.gen_cubic_msd(masses=3)
         with pytest.raises(ValueError):
             nonlinear_reduce(nl, external_basis(random_orthonormal(rng, 4, 2)))
+
+
+def counting(sys, calls):
+    """Wrap the instance attributes ``f`` and ``jac`` to count calls."""
+    for name in ("f", "jac"):
+        inner = getattr(sys, name)
+
+        def wrapped(x, inner=inner, name=name):
+            calls.append(name)
+            return inner(x)
+        setattr(sys, name, wrapped)
+    return sys
+
+
+def forced_cubic_chain(structured: bool):
+    """Cubic chain (4 masses) under a constant force 0.6 on the first
+    mass, with its displaced equilibrium, structured or opaque."""
+    nl = benchgen.gen_cubic_msd(masses=4, gamma=0.8)
+    s = nl.structure
+    force = np.zeros(4)
+    force[0] = 0.6
+    f2 = lambda x: np.asarray(nl.f(x), dtype=float) + np.r_[np.zeros(4), force]
+    x_star = newton_equilibrium(f2, nl.jac, np.zeros(nl.n))
+    if structured:
+        return NonlinearSystem.structured(
+            nl.e, s.a, s.rows, s.cols, lambda q: s.g(q) + force, s.dg,
+            x_star=x_star, b=nl.b, c=nl.c)
+    return NonlinearSystem(nl.e, f2, nl.jac, x_star=x_star, b=nl.b, c=nl.c)
+
+
+class TestStructure:
+    def test_f_and_jac_are_the_dense_formula(self, rng):
+        # f(x) = A x + P g(Q^T x) with scattered, unsorted selectors
+        n = 7
+        a = np.where(rng.random((n, n)) < 0.5, rng.standard_normal((n, n)),
+                     0.0)
+        rows, cols = np.array([5, 0, 3]), np.array([1, 1, 6])
+        a[rows, cols] = 1.0  # stored slots for g'
+        p, q = np.eye(n)[:, rows], np.eye(n)[:, cols]
+        sys = NonlinearSystem.structured(np.eye(n), a, rows, cols, np.sin,
+                                         np.cos)
+        for _ in range(3):
+            x = rng.standard_normal(n)
+            want_f = a @ x + p @ np.sin(q.T @ x)
+            want_j = a + p @ np.diag(np.cos(q.T @ x)) @ q.T
+            assert np.allclose(sys.f(x), want_f, rtol=1e-14, atol=1e-14)
+            assert np.allclose(sys.jac(x).toarray(), want_j, rtol=1e-14,
+                               atol=1e-14)
+            assert np.allclose(sys.jac(x).toarray(),
+                               finite_difference_jacobian(sys.f, x),
+                               atol=1e-7)
+
+    def test_scattered_selectors_reduce_like_the_projection(self, rng):
+        n, r = 8, 3
+        a = -2.0 * np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        rows, cols = np.array([6, 1, 4]), np.array([2, 2, 7])
+        g = lambda z: -z ** 3
+        dg = lambda z: -3.0 * z ** 2
+        sys = NonlinearSystem.structured(np.eye(n), a, rows, cols, g, dg)
+        opaque = NonlinearSystem(np.eye(n), sys.f, sys.jac)
+        stab = assemble_stabilizer(linearize(sys), mode="dense")
+        basis = external_basis(random_orthonormal(rng, n, r))
+        for with_stab in (None, stab):
+            rom = nonlinear_reduce(sys, basis, with_stab)
+            ref = nonlinear_reduce(opaque, basis, with_stab)
+            x = rng.standard_normal(r)
+            assert np.allclose(rom.f(x), ref.f(x), rtol=1e-12, atol=1e-13)
+            assert np.allclose(rom.jac(x), ref.jac(x), rtol=1e-12, atol=1e-13)
+
+    def test_integer_a_becomes_float(self):
+        sys = NonlinearSystem.structured(np.eye(3), -np.eye(3, dtype=int),
+                                         [0], [0], np.sin, np.cos)
+        assert sys.structure.a.dtype == np.float64
+        x = np.full(3, 0.5)
+        assert np.array_equal(sys.f(x), [np.sin(0.5) - 0.5, -0.5, -0.5])
+        assert sys.jac(x).toarray()[0, 0] == np.cos(0.5) - 1.0
+
+    def test_unstored_slot_rejected(self):
+        a = sp.csr_matrix(-np.eye(3))
+        with pytest.raises(ValueError, match=r"none at \(2, 0\)"):
+            Structure(a, [0, 2], [0, 0], np.sin, np.cos)
+        # an explicitly stored zero is a slot
+        a = sp.csr_matrix((np.array([-1.0, 0.0, -1.0, -1.0]),
+                           (np.array([0, 2, 1, 2]), np.array([0, 0, 1, 2]))),
+                          shape=(3, 3))
+        Structure(a, [0, 2], [0, 0], np.sin, np.cos)
+
+    def test_invalid_selectors_rejected(self):
+        a = -np.eye(3)
+        for rows, cols in (([0, 0], [0, 1]), ([0, 3], [0, 1]),
+                           ([0, 1], [0]), ([-1], [0])):
+            with pytest.raises(ValueError):
+                Structure(a, rows, cols, np.sin, np.cos)
+        with pytest.raises(ValueError):
+            Structure(np.ones((2, 3)), [0], [0], np.sin, np.cos)
+
+
+class TestStructuredReduce:
+    """Reduction through f(x) = A x + P g(Q^T x) against the projected
+    callbacks of the same system (the cubic-chain benchmark setup)."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        nl = benchgen.gen_cubic_msd(masses=30)
+        opaque = NonlinearSystem(nl.e, nl.f, nl.jac, b=nl.b, c=nl.c)
+        lin = linearize(nl)
+        stab = assemble_stabilizer(lin, mode="dense")
+        basis = projection.arnoldi_basis(lin, 20)
+        return nl, opaque, stab, basis
+
+    @staticmethod
+    def reduce(system, basis, r, stab):
+        return nonlinear_reduce(system, external_basis(basis.v[:, :r]), stab)
+
+    def test_callbacks_match_the_projection(self, setup, rng):
+        nl, opaque, stab, basis = setup
+        for r in (5, 10, 15, 20):
+            for with_stab in (None, stab):
+                rom = self.reduce(nl, basis, r, with_stab)
+                ref = self.reduce(opaque, basis, r, with_stab)
+                assert np.array_equal(rom.jac(np.zeros(r)),
+                                      ref.jac(np.zeros(r)))
+                for _ in range(3):
+                    x = rng.standard_normal(r)
+                    assert np.abs(rom.f(x) - ref.f(x)).max() <= \
+                        1e-12 * np.abs(ref.f(x)).max()
+                    assert np.abs(rom.jac(x) - ref.jac(x)).max() <= \
+                        1e-12 * np.abs(ref.jac(x)).max()
+
+    def test_trapezoid_outputs_match_the_projection(self, setup):
+        nl, opaque, stab, basis = setup
+        u = analysis.make_input("sine", period=4.0)
+        for r in (5, 10, 15, 20):
+            runs = [analysis.integrate_trapezoidal(
+                self.reduce(sys, basis, r, stab), u, np.zeros(r),
+                (0.0, 10.0), steps=400) for sys in (nl, opaque)]
+            assert runs[0].stats == runs[1].stats
+            assert np.abs(runs[0].y - runs[1].y).max() <= \
+                1e-10 * np.abs(runs[1].y).max()
+
+    def test_reduced_simulation_calls_no_full_order_callback(self, setup):
+        _, _, stab, basis = setup
+        calls = []
+        nl = counting(benchgen.gen_cubic_msd(masses=30), calls)
+        rom = self.reduce(nl, basis, 10, stab)
+        u = analysis.make_input("sine", period=4.0)
+        traj = analysis.integrate_trapezoidal(rom, u, np.zeros(10),
+                                              (0.0, 10.0), steps=400)
+        assert traj.stats["stage_count"] > 400
+        analysis.integrate_adaptive(rom, u, np.zeros(10), (0.0, 1.0))
+        assert calls == []
+        # the counters do see full-order calls
+        analysis.integrate_trapezoidal(nl, u, np.zeros(60), (0.0, 0.1),
+                                       steps=2)
+        assert "f" in calls and "jac" in calls
+
+    def test_each_call_returns_a_new_array(self, setup, rng):
+        nl, _, stab, basis = setup
+        rom = self.reduce(nl, basis, 5, stab)
+        x = rng.standard_normal(5)
+        want_j, want_f = rom.jac(x).copy(), rom.f(x).copy()
+        first, second = rom.jac(x), rom.jac(x)
+        assert not np.shares_memory(first, second)
+        first[:] = 7.0
+        assert np.array_equal(rom.jac(x), want_j)
+        f1 = rom.f(x)
+        f1[:] = 7.0
+        assert np.array_equal(rom.f(x), want_f)
+
+    def test_nonzero_equilibrium_falls_back_to_callbacks(self):
+        forced = forced_cubic_chain(structured=True)
+        opaque = forced_cubic_chain(structured=False)
+        assert np.abs(forced.x_star).max() > 1e-3
+        assert shift_to_origin(forced).structure is None
+        stab = assemble_stabilizer(linearize(forced), mode="dense")
+        basis = external_basis(
+            random_orthonormal(np.random.default_rng(5), forced.n, 3))
+        calls = []
+        rom = nonlinear_reduce(counting(forced, calls), basis, stab)
+        ref = nonlinear_reduce(opaque, basis, stab)
+        calls.clear()  # the shifted system checks its equilibrium once
+        assert np.linalg.norm(rom.f(np.zeros(3))) <= 1e-10
+        assert calls == ["f"]  # the projected callback, not the structure
+        assert np.allclose(rom.jac(np.zeros(3)), ref.jac(np.zeros(3)),
+                           rtol=1e-12, atol=1e-12)
+        x = 0.1 * np.ones(3)
+        assert np.allclose(rom.f(x), ref.f(x), rtol=1e-12, atol=1e-12)
+        assert np.array_equal(rom.x_star, forced.x_star)
 
 
 class TestStabilizedSweep:
