@@ -212,6 +212,32 @@ def reference_trapezoid(system, u, x0, t_span, steps: int):
     return _block_outputs(states, system.c, rows), x
 
 
+def reference_similarity_scale(s: np.ndarray, kappa: float) -> float:
+    """Bisect c >= 0 so that cond_2(I + c s) hits ``kappa``.
+
+    The 60-step bisection ``benchgen._similarity_scale`` used before its
+    bracketed root finder: double c from 1 / ||s||_2 until cond_2 reaches
+    kappa, then halve [0, c] 60 times. cond_2 grows monotonically in c for
+    the nilpotent s drawn there.
+    """
+    eye = np.eye(s.shape[0])
+
+    def cond(c: float) -> float:
+        return float(np.linalg.cond(eye + c * s))
+
+    hi = 1.0 / np.linalg.norm(s, 2)
+    while cond(hi) < kappa:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if cond(mid) < kappa:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def dense_transform(stab) -> np.ndarray:
     """Densify a stabilizer factor's action (small n only)."""
     return stab.apply(np.eye(stab.sys.n))

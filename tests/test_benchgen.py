@@ -15,7 +15,22 @@ from stabmor.dynsys import (
 )
 from stabmor.errors import ResampleExhausted
 from stabmor.nonlinear import finite_difference_jacobian
-from tests.conftest import cubic_msd_block_jacobian, cubic_msd_closures
+from tests.conftest import (
+    cubic_msd_block_jacobian,
+    cubic_msd_closures,
+    reference_similarity_scale,
+)
+
+# every (n, kappa, seed) with kappa > 1 that the tests, the README
+# quickstart (200, 50, 0) and the nonnormal benchmark (300, 50, 0..3) draw
+SIMILARITY_CASES = sorted(
+    {(200, 50.0, 0), (60, 20.0, 3), (100, 50.0, 0), (200, 200.0, 0),
+     (30, 10.0, 7), (30, 50.0, 0), (30, 50.0, 1), (120, 50.0, 2),
+     (200, 50.0, 3), (60, 30.0, 1), (50, 30.0, 2), (80, 40.0, 4),
+     (120, 20.0, 2), (200, 10.0, 3)}
+    | {(20 + 3 * seed, 30.0, seed) for seed in range(8)}
+    | {(80, 100.0, seed) for seed in range(20)}
+    | {(300, 50.0, seed) for seed in range(4)})
 
 
 class TestMsdChain:
@@ -114,6 +129,58 @@ class TestNonNormal:
             benchgen.gen_nonnormal_stable(n=10, lam_min=-1.0)
         with pytest.raises(ValueError):
             benchgen.gen_nonnormal_stable(n=10, density=1.5)
+        with pytest.raises(ValueError):
+            benchgen.gen_nonnormal_stable(n=20, kappa=np.inf)
+        with pytest.raises(ValueError):
+            benchgen.gen_nonnormal_stable(n=20, kappa=np.nan)
+
+    @pytest.mark.parametrize("n, kappa, seed", SIMILARITY_CASES)
+    def test_similarity_scale_matches_bisection(self, monkeypatch, n, kappa,
+                                                seed):
+        draws = []
+        scale = benchgen._similarity_scale
+
+        def recorded(s, kappa):
+            c = scale(s, kappa)
+            draws.append((s, kappa, c))
+            return c
+
+        monkeypatch.setattr(benchgen, "_similarity_scale", recorded)
+        benchgen.gen_nonnormal_stable(n=n, kappa=kappa, seed=seed)
+        assert draws
+        for s, kap, c in draws:
+            c_ref = reference_similarity_scale(s, kap)
+            assert abs(c - c_ref) <= 1e-13 * c_ref
+            cond = np.linalg.cond(np.eye(n) + c * s)
+            assert abs(cond - kap) <= 1e-12 * kap
+
+    def test_kappa_within_rounding_of_one(self):
+        # cond_2 cannot resolve kappa from 1 here, so the bracket's lower
+        # end already reads kappa: T is I to rounding, not an error
+        sys = benchgen.gen_nonnormal_stable(n=20, kappa=1.0 + 2.0 ** -52,
+                                            require_nonnormal=False)
+        a = np.asarray(sys.a)
+        assert np.abs(np.triu(a, 1)).max() <= 1e-12
+
+    def test_few_svds_at_n_300(self, monkeypatch):
+        # each np.linalg.cond and each spectral norm is a full SVD; a
+        # 60-step bisection on cond took 65 of them
+        calls = []
+        cond, norm = np.linalg.cond, np.linalg.norm
+
+        def counted_cond(x, p=None):
+            calls.append("cond")
+            return cond(x, p)
+
+        def counted_norm(x, ord=None, axis=None, keepdims=False):
+            if ord == 2:
+                calls.append("norm")
+            return norm(x, ord, axis, keepdims)
+
+        monkeypatch.setattr(np.linalg, "cond", counted_cond)
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        benchgen.gen_nonnormal_stable(n=300, kappa=50.0, seed=0)
+        assert 0 < len(calls) <= 16
 
     def test_same_seed_bit_identical_bundles(self, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"
