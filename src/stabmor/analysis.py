@@ -42,7 +42,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .config import DEFAULT, Tolerances
-from .dynsys import DescriptorModel, LinearSystem, spectral_abscissa
+from .dynsys import DescriptorModel, LinearSystem
 from .errors import (
     ConvergenceFailure,
     DenseCapExceeded,
@@ -52,9 +52,11 @@ from .errors import (
     SingularMatrix,
     StepSizeUnderflow,
     UnstableOperand,
+    UnstablePencil,
 )
 from .linalg import Snapshots, _matvec_into, as_dense, lu_factor
 from .stabilize import (
+    LYAP_DENSE_RESIDUAL,
     _shifted_pencil,
     solve_lyapunov_dense,
     solve_lyapunov_lradi,
@@ -106,10 +108,10 @@ def _squared_norm(sys: LinearSystem, config: Tolerances,
     """(||H||_H2^2, a bound on its relative error), once per system object.
 
     ||H||^2 = tr(B^T Q B) with A^T Q E + E^T Q A + C^T C = 0. At
-    n <= ``config.dense_cap`` the operand's spectral abscissa must be
-    negative (else :class:`UnstableOperand`; above the cap stability is the
-    caller's assertion), and Q comes from the dense solve, accepted at
-    backward error ``config.lyap_dense_residual``, which is the bound.
+    n <= ``config.dense_cap`` Q comes from the dense solve, accepted at
+    backward error LYAP_DENSE_RESIDUAL, which is the bound; an unstable
+    operand fails its abscissa check (:class:`UnstableOperand`; above the
+    cap stability is the caller's assertion).
     Above the cap Q ~ Z Z^T is the LR-ADI factor run to the relative
     residual ``config.lradi_residual``. Z Z^T falls short of Q by a
     positive semidefinite remainder that the residual does not bound, so
@@ -121,14 +123,13 @@ def _squared_norm(sys: LinearSystem, config: Tolerances,
         return cache[config]
     ct = sys.c.T
     if sys.n <= config.dense_cap:
-        alpha = spectral_abscissa(sys, config)
-        if alpha >= 0.0:
-            raise UnstableOperand(
-                f"{label} operand has spectral abscissa {alpha:.3e} >= 0; "
-                "the H2 integral does not exist")
-        q = solve_lyapunov_dense(sys.a, sys.e, ct @ ct.T, config)
+        try:
+            q = solve_lyapunov_dense(sys.a, sys.e, ct @ ct.T, config)
+        except UnstablePencil as exc:
+            raise UnstableOperand(f"{label} operand is unstable, so the H2 "
+                                  f"integral does not exist: {exc}") from exc
         cache[config] = (float(np.trace(sys.b.T @ q @ sys.b)),
-                         config.lyap_dense_residual)
+                         LYAP_DENSE_RESIDUAL)
     else:
         z, history = solve_lyapunov_lradi(sys.a, sys.e, ct,
                                           steps=H2_ADI_STEPS, config=config)
@@ -184,7 +185,7 @@ def h2_error(system_a: LinearSystem, system_b: LinearSystem | None = None,
 
     Rounding: each squared norm carries the relative error bound of
     :func:`_squared_norm`, and the cross term, from backward-stable LU
-    solves, ``config.lyap_dense_residual``. The computed square s is then
+    solves, LYAP_DENSE_RESIDUAL. The computed square s is then
     within its rounding floor, the sum of these bounds times the magnitudes
     of the three terms, of the exact square s*; cancellation can leave the
     square far below its terms. A square at or below its rounding floor is
@@ -203,7 +204,7 @@ def h2_error(system_a: LinearSystem, system_b: LinearSystem | None = None,
         cross = _inner_product(system_a, system_b)
     square = norm_a + norm_b - 2.0 * cross
     floor = (eta_a * norm_a + eta_b * norm_b
-             + 2.0 * config.lyap_dense_residual * abs(cross))
+             + 2.0 * LYAP_DENSE_RESIDUAL * abs(cross))
     value = float(np.sqrt(square)) if square > floor else 0.0
     return H2Result(value=value, slack=float(np.sqrt(2.0 * floor)))
 
@@ -312,14 +313,18 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 _DP_E = _DP_B5 - _DP_B4  # weights of the embedded error estimate
+# absolute error tolerance of the adaptive integrator, and its budget of
+# accepted plus rejected steps
+DP5_ATOL = 1e-9
+DP5_MAX_STEPS = 100000
 # rows of the adaptive integrator's state buffer, and at most of the
 # trapezoid rule's; outputs are formed per full buffer, so a different size
 # moves them in the last bits
 _HISTORY_BLOCK = 1024
 
 
-def _initial_step(rhs, t0, x0, f0, rtol, atol, span):
-    sc = atol + rtol * np.abs(x0)
+def _initial_step(rhs, t0, x0, f0, rtol, span):
+    sc = DP5_ATOL + rtol * np.abs(x0)
     d0 = np.linalg.norm(x0 / sc) / np.sqrt(x0.size)
     d1 = np.linalg.norm(f0 / sc) / np.sqrt(x0.size)
     h0 = 1e-6 * span if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -334,8 +339,7 @@ def _initial_step(rhs, t0, x0, f0, rtol, atol, span):
 
 
 def integrate_adaptive(system: DescriptorModel, u, x0, t_span,
-                       rtol: float = 1e-6, atol: float = 1e-9,
-                       max_steps: int = 100000,
+                       rtol: float = 1e-6,
                        harvest_snapshots: bool = False,
                        fixed_steps: int | None = None,
                        config: Tolerances = DEFAULT) -> Trajectory:
@@ -373,7 +377,7 @@ def integrate_adaptive(system: DescriptorModel, u, x0, t_span,
     rhs(t, x, k[0])
     stages = 1
     h = span / fixed_steps if fixed_steps else _initial_step(
-        rhs, t0, x, k[0], rtol, atol, span)
+        rhs, t0, x, k[0], rtol, span)
     ts, ys = [t0], []
     block = np.empty((_HISTORY_BLOCK, n))
     block[0] = x
@@ -386,9 +390,9 @@ def integrate_adaptive(system: DescriptorModel, u, x0, t_span,
     err_prev = 1e-4
     steps = rejected = 0
     while t < t1 - 1e-14 * span:
-        if steps + rejected >= max_steps:
+        if steps + rejected >= DP5_MAX_STEPS:
             raise ConvergenceFailure(
-                f"integrator exceeded {max_steps} steps at t = {t:.6e}")
+                f"integrator exceeded {DP5_MAX_STEPS} steps at t = {t:.6e}")
         h = min(h, t1 - t)
         if not fixed_steps and h < 1e-14 * span:
             raise StepSizeUnderflow(
@@ -408,7 +412,7 @@ def integrate_adaptive(system: DescriptorModel, u, x0, t_span,
         else:
             np.dot(_DP_E, k, out=diff)
             diff *= h
-            sc = atol + rtol * np.maximum(np.abs(x), np.abs(x5))
+            sc = DP5_ATOL + rtol * np.maximum(np.abs(x), np.abs(x5))
             err = float(np.linalg.norm(diff / sc) / np.sqrt(n))
             accept = err <= 1.0
         if accept:
@@ -464,6 +468,10 @@ def _trapezoid_forcing(b, u_fun, times, h):
 # Values per output block of the trapezoid rule: blocks of _HISTORY_BLOCK
 # rows up to n = 64, fewer rows above, so a run holds O(n) state values
 _TRAPEZOID_BLOCK_VALUES = 1 << 16
+# a Newton iteration of the trapezoid rule stops when its update is below
+# NEWTON_TOL (1 + ||x||), and fails after NEWTON_MAX_ITERS iterates
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITERS = 25
 
 
 def _trapezoid_run(step, x0, steps: int, c, forcing):
@@ -492,9 +500,8 @@ def _trapezoid_run(step, x0, steps: int, c, forcing):
     return np.concatenate(ys), x
 
 
-def integrate_trapezoidal(system: DescriptorModel, u, x0, t_span, steps: int,
-                          newton_tol: float = 1e-10,
-                          max_newton: int = 25) -> Trajectory:
+def integrate_trapezoidal(system: DescriptorModel, u, x0, t_span,
+                          steps: int) -> Trajectory:
     """Fixed-step trapezoidal rule.
 
     The input is evaluated once per grid point. Linear systems factorize
@@ -565,7 +572,7 @@ def integrate_trapezoidal(system: DescriptorModel, u, x0, t_span, steps: int,
             if term is not None:
                 base = base + term
             x_new = x.copy()
-            for it in range(max_newton):
+            for it in range(NEWTON_MAX_ITERS):
                 res = e @ x_new - 0.5 * h * np.asarray(f(x_new), dtype=float) - base
                 try:
                     step_lu = lu_factor(e - 0.5 * h * as_dense(jac(x_new)),
@@ -575,7 +582,7 @@ def integrate_trapezoidal(system: DescriptorModel, u, x0, t_span, steps: int,
                 delta = step_lu.solve(res)
                 x_new = x_new - delta
                 newton_total += 1
-                if np.linalg.norm(delta) <= newton_tol * (1.0 + np.linalg.norm(x_new)):
+                if np.linalg.norm(delta) <= NEWTON_TOL * (1.0 + np.linalg.norm(x_new)):
                     taken += 1
                     return x_new
             raise ConvergenceFailure(

@@ -20,7 +20,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .config import DEFAULT, Tolerances
 from .dynsys import LinearSystem
 from .errors import ResampleExhausted
 from .nonlinear import NonlinearSystem
@@ -116,8 +115,7 @@ def gen_nonnormal_stable(n: int = 200, lam_min: float = 0.1,
                          lam_max: float = 10.0, kappa: float = 50.0,
                          density: float = 0.1, seed: int = 0,
                          require_nonnormal: bool = True,
-                         max_resample: int = 20,
-                         config: Tolerances = DEFAULT) -> LinearSystem:
+                         max_resample: int = 20) -> LinearSystem:
     """Upper-triangular A = T Lambda T^{-1} with exact negative spectrum.
 
     T = I + c S with S strictly upper triangular and sparse, and c chosen

@@ -27,7 +27,7 @@ from .dynsys import (
     stability_report,
 )
 from .errors import SingularReducedMass, StabmorError
-from .nonlinear import NonlinearSystem
+from .nonlinear import NonlinearSystem, linearize
 from .stabilize import DEFAULT_ADI_STEPS, DEFAULT_DELTA
 
 __all__ = ["main", "RunConfig"]
@@ -130,50 +130,33 @@ def _load_bundle(path: str):
     return sys_lin, sys_nl, manifest
 
 
+# generator and keyword names of each ``generate`` kind, in the order
+# report.json and the cubic bundle's manifest record them
+GENERATORS = {
+    "msd": (benchgen.gen_msd_chain,
+            ("masses", "mass", "stiffness", "damping", "input_node",
+             "output_node")),
+    "cubic-msd": (benchgen.gen_cubic_msd,
+                  ("masses", "mass", "stiffness", "damping", "gamma",
+                   "input_node", "output_node")),
+    "nonnormal": (benchgen.gen_nonnormal_stable,
+                  ("n", "lam_min", "lam_max", "kappa", "density", "seed",
+                   "require_nonnormal")),
+    "convdiff": (benchgen.gen_convection_diffusion,
+                 ("n", "diffusion", "velocity", "grade")),
+}
+
+
 def cmd_generate(args) -> int:
     out_dir = pathlib.Path(args.out)
-    gen_params: dict
-    if args.kind == "msd":
-        output_node = (args.output_node if args.output_node >= 0
-                       else args.masses - 1)
-        gen_params = {"kind": "msd", "masses": args.masses, "mass": args.mass,
-                      "stiffness": args.stiffness, "damping": args.damping,
-                      "input_node": args.input_node,
-                      "output_node": output_node}
-        system = benchgen.gen_msd_chain(
-            masses=args.masses, mass=args.mass, stiffness=args.stiffness,
-            damping=args.damping, input_node=args.input_node,
-            output_node=output_node)
-    elif args.kind == "nonnormal":
-        gen_params = {"kind": "nonnormal", "n": args.n, "lam_min": args.lam_min,
-                      "lam_max": args.lam_max, "kappa": args.kappa,
-                      "density": args.density, "seed": args.seed,
-                      "require_nonnormal": not args.allow_dissipative}
-        system = benchgen.gen_nonnormal_stable(
-            n=args.n, lam_min=args.lam_min, lam_max=args.lam_max,
-            kappa=args.kappa, density=args.density, seed=args.seed,
-            require_nonnormal=not args.allow_dissipative)
-    elif args.kind == "convdiff":
-        gen_params = {"kind": "convdiff", "n": args.n,
-                      "diffusion": args.diffusion, "velocity": args.velocity,
-                      "grade": args.grade}
-        system = benchgen.gen_convection_diffusion(
-            n=args.n, diffusion=args.diffusion, velocity=args.velocity,
-            grade=args.grade)
-    else:  # cubic-msd
-        output_node = (args.output_node if args.output_node >= 0
-                       else args.masses - 1)
-        gen_params = {"kind": "cubic_msd", "masses": args.masses,
-                      "mass": args.mass, "stiffness": args.stiffness,
-                      "damping": args.damping, "gamma": args.gamma,
-                      "input_node": args.input_node,
-                      "output_node": output_node}
-        nl = benchgen.gen_cubic_msd(
-            masses=args.masses, mass=args.mass, stiffness=args.stiffness,
-            damping=args.damping, gamma=args.gamma,
-            input_node=args.input_node, output_node=output_node)
-        from .nonlinear import linearize
-        system = linearize(nl)
+    generator, names = GENERATORS[args.kind]
+    params = {name: getattr(args, name) for name in names}
+    if params.get("output_node", 0) < 0:  # a negative node is the last mass
+        params["output_node"] = args.masses - 1
+    gen_params = {"kind": args.kind.replace("-", "_"), **params}
+    system = generator(**params)
+    if args.kind == "cubic-msd":
+        system = linearize(system)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_system(system, out_dir)
@@ -206,8 +189,8 @@ def cmd_reduce(args) -> int:
                          "are handled through simulate")
     r_list = _parse_r_list(args.r, system.n)
     input_fun = _parse_input(args.input)
-    adi = {"steps": args.adi_steps, "shifts": args.adi_shifts,
-           "residual_tol": args.adi_tol}
+    adi = {"mode": args.mode, "steps": args.adi_steps,
+           "shifts": args.adi_shifts, "residual_tol": args.adi_tol}
     config = RunConfig(command="reduce", bundle=args.bundle,
                        method=args.method, r_list=r_list, s0=args.s0,
                        stabilize=args.stabilize, delta=args.delta, adi=adi,
@@ -301,7 +284,10 @@ def cmd_reduce(args) -> int:
                        "deflated": basis_full.deflated}}
     if stab is not None:
         extra["stabilizer"] = {"k": stab.k, "q": stab.q, "mode": stab.mode,
-                               "mu_max": stab.mu_max, "delta": stab.delta}
+                               "mu_max": stab.mu_max, "delta": stab.delta,
+                               "certified": stab.certified,
+                               "residual_norm": stab.residual_norm,
+                               "certificate_bound": stab.certificate_bound}
     _write_report(out_dir, config, extra)
     print(f"wrote {out_dir / 'error_sweep.csv'} ({len(rows)} rows)")
     return NUMERICAL_ERROR if failures else 0
@@ -418,7 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam-max", type=float, default=10.0)
     p.add_argument("--kappa", type=float, default=50.0)
     p.add_argument("--density", type=float, default=0.1)
-    p.add_argument("--allow-dissipative", action="store_true")
+    p.add_argument("--allow-dissipative", dest="require_nonnormal",
+                   action="store_false")
     p = gen_sub.add_parser("convdiff", help="convection-diffusion benchmark")
     p.add_argument("--n", type=int, default=400)
     p.add_argument("--diffusion", type=float, default=1e-3)

@@ -264,6 +264,10 @@ def dense_symmetric_part(sys: LinearSystem) -> np.ndarray:
 # far fewer; convection-diffusion, whose pairs do not converge, then fails
 # in well under a second at n = 2001 and n = 5000.
 ARPACK_MAXITER = 100
+# ARPACK's relative Ritz-pair tolerance (eigsh's tol) above the dense cap
+LANCZOS_RESIDUAL = 1e-8
+# an eigenvalue >= -NONNEG_MARGIN * |mu_1| counts as non-negative
+NONNEG_MARGIN = 1e-12
 
 
 def symmetric_part_spectrum(sys: LinearSystem, ell: int,
@@ -274,12 +278,12 @@ def symmetric_part_spectrum(sys: LinearSystem, ell: int,
     At n <= ``config.dense_cap`` the dense symmetric part is decomposed by
     LAPACK ``eigh``. Above the cap, ARPACK's implicitly restarted Lanczos
     (``eigsh``, largest algebraic) runs on the matvec from a start vector
-    drawn from ``seed``, to the relative tolerance
-    ``config.lanczos_residual``; it raises :class:`ConvergenceFailure` when
-    the pairs do not converge within ARPACK_MAXITER restarts, and
-    :class:`DenseCapExceeded` when all n pairs are requested.
+    drawn from ``seed``, to the relative tolerance LANCZOS_RESIDUAL; it
+    raises :class:`ConvergenceFailure` when the pairs do not converge
+    within ARPACK_MAXITER restarts, and :class:`DenseCapExceeded` when all
+    n pairs are requested.
 
-    Eigenvalues within ``config.nonneg_margin * |mu_1|`` of zero count as
+    Eigenvalues within NONNEG_MARGIN * |mu_1| of zero count as
     non-negative; over-counting is safe for the stabilization downstream
     while under-counting is not.
     """
@@ -299,14 +303,14 @@ def symmetric_part_spectrum(sys: LinearSystem, ell: int,
         v0 = np.random.default_rng(seed).standard_normal(n)
         try:
             w, u = spla.eigsh(op, k=ell, which="LA", v0=v0,
-                              tol=config.lanczos_residual,
+                              tol=LANCZOS_RESIDUAL,
                               maxiter=ARPACK_MAXITER)
         except spla.ArpackError as exc:
             raise ConvergenceFailure(
                 f"ARPACK did not converge {ell} symmetric-part eigenpairs at "
                 f"n = {n}: {exc}") from exc
         values, vectors = w[::-1].copy(), u[:, ::-1].copy()
-    tau = config.nonneg_margin * abs(values[0])
+    tau = NONNEG_MARGIN * abs(values[0])
     nonneg = values >= -tau
     k = int(np.count_nonzero(nonneg))
     incomplete = bool(nonneg.all()) and ell < n

@@ -155,17 +155,21 @@ def lu_factor(m, context: str = "lu_factor") -> LUFactorization:
     return LUFactorization(m, context=context)
 
 
-def sym_eig_dense(m, config: Tolerances = DEFAULT):
+# largest ||m - m^T|| / ||m|| that sym_eig_dense accepts as symmetric
+SYM_CHECK = 1e-12
+
+
+def sym_eig_dense(m):
     """Eigendecomposition of a symmetric dense matrix.
 
     Returns ``(w, u)`` with eigenvalues sorted descending and orthonormal
     eigenvectors as columns. Raises :class:`SymmetryViolation` when the
-    input is not symmetric within ``config.sym_check * ||m||``.
+    input is not symmetric within ``SYM_CHECK * ||m||``.
     """
     m = as_dense(m)
     norm_m = np.linalg.norm(m)
     asym = np.linalg.norm(m - m.T)
-    if asym > config.sym_check * max(norm_m, 1e-300):
+    if asym > SYM_CHECK * max(norm_m, 1e-300):
         raise SymmetryViolation(
             f"matrix is not symmetric: ||m - m^T|| = {asym:.3e}, ||m|| = {norm_m:.3e}")
     w, u = np.linalg.eigh(0.5 * (m + m.T))
@@ -273,9 +277,9 @@ class Snapshots:
 GRAM_RESOLVED = 1e-10
 
 
-def _gram_svd(g, r: int, config: Tolerances):
+def _gram_svd(g, r: int):
     """Leading r left singular vectors and values of S from G = S S^T."""
-    w, u = sym_eig_dense(0.5 * (g + g.T), config)
+    w, u = sym_eig_dense(0.5 * (g + g.T))
     sigma = np.sqrt(np.clip(w[:r], 0.0, None))
     return _fix_signs(u[:, :r].copy()), sigma
 
@@ -304,16 +308,16 @@ def thin_svd(m, r: int, config: Tolerances = DEFAULT):
         raise ValueError(f"need 1 <= r <= min(n, s) = {small}, got {r}")
     if isinstance(m, Snapshots):
         if m.gram is not None:
-            return _gram_svd(m.gram, r, config)
+            return _gram_svd(m.gram, r)
         m = m.matrix
 
     if small > config.svd_gram_max:
         u, sigma, _ = _svds(m, r)
         return _fix_signs(u[:, ::-1].copy()), sigma[::-1].copy()
     if n <= s:
-        return _gram_svd(as_dense(m @ m.T), r, config)
+        return _gram_svd(as_dense(m @ m.T), r)
     g = as_dense(m.T @ m)
-    w, v = sym_eig_dense(0.5 * (g + g.T), config)
+    w, v = sym_eig_dense(0.5 * (g + g.T))
     if w[r - 1] > GRAM_RESOLVED * w[0]:
         sigma = np.sqrt(w[:r])
         u = np.linalg.qr(m @ (v[:, :r] / sigma))[0]  # restore orthogonality

@@ -106,6 +106,10 @@ class Structure:
         return out
 
 
+# largest accepted ||f(x*)|| at an equilibrium, relative to max(1, ||J x*||)
+EQUILIBRIUM_RESIDUAL = 1e-10
+
+
 class NonlinearSystem(DescriptorModel):
     """Autonomous nonlinear descriptor system E x' = f(x) (+ B u).
 
@@ -124,7 +128,7 @@ class NonlinearSystem(DescriptorModel):
 
     def __init__(self, e, f: Callable, jac: Callable,
                  x_star: np.ndarray | None = None,
-                 b=None, c=None, config: Tolerances = DEFAULT):
+                 b=None, c=None):
         super().__init__(e, b, c)
         n = self.n
         self.f = f
@@ -137,15 +141,15 @@ class NonlinearSystem(DescriptorModel):
         residual = float(np.linalg.norm(np.asarray(f(self.x_star), dtype=float)))
         scale = max(1.0, float(np.linalg.norm(
             as_dense(jac(self.x_star) @ np.atleast_2d(self.x_star).T))))
-        if residual > config.equilibrium_residual * scale:
+        if residual > EQUILIBRIUM_RESIDUAL * scale:
             raise EquilibriumResidualTooLarge(
                 f"||f(x*)|| = {residual:.3e} exceeds "
-                f"{config.equilibrium_residual:.1e} * scale ({scale:.3e})")
+                f"{EQUILIBRIUM_RESIDUAL:.1e} * scale ({scale:.3e})")
 
     @classmethod
     def structured(cls, e, a, rows, cols, g: Callable, dg: Callable,
-                   x_star: np.ndarray | None = None, b=None, c=None,
-                   config: Tolerances = DEFAULT) -> "NonlinearSystem":
+                   x_star: np.ndarray | None = None, b=None,
+                   c=None) -> "NonlinearSystem":
         """System with f(x) = A x + P g(Q^T x); see :class:`Structure`.
 
         ``f(x)`` is ``A x`` with ``g(x[cols])`` added at ``rows``;
@@ -154,13 +158,12 @@ class NonlinearSystem(DescriptorModel):
         itself, so the reduced model never calls ``f`` or ``jac``.
         """
         structure = Structure(a, rows, cols, g, dg)
-        sys = cls(e, structure.f, structure.jac, x_star, b, c, config)
+        sys = cls(e, structure.f, structure.jac, x_star, b, c)
         sys.structure = structure
         return sys
 
 
-def shift_to_origin(sys: NonlinearSystem,
-                    config: Tolerances = DEFAULT) -> NonlinearSystem:
+def shift_to_origin(sys: NonlinearSystem) -> NonlinearSystem:
     """Move the designated equilibrium to the origin: g(x) = f(x + x*).
 
     A system whose equilibrium is already 0 is returned as it is. Any
@@ -173,7 +176,7 @@ def shift_to_origin(sys: NonlinearSystem,
         sys.e,
         lambda x: sys.f(x + x_star),
         lambda x: sys.jac(x + x_star),
-        x_star=None, b=sys.b, c=sys.c, config=config)
+        x_star=None, b=sys.b, c=sys.c)
 
 
 def linearize(sys: NonlinearSystem) -> LinearSystem:
@@ -221,8 +224,7 @@ class NonlinearROM(DescriptorModel):
 
 
 def nonlinear_reduce(sys: NonlinearSystem, basis,
-                     stab: StabilizerFactor | None = None,
-                     config: Tolerances = DEFAULT) -> NonlinearROM:
+                     stab: StabilizerFactor | None = None) -> NonlinearROM:
     """Project a nonlinear system onto ``basis``.
 
     With ``stab`` (assembled from the linearization at the equilibrium)
@@ -240,7 +242,7 @@ def nonlinear_reduce(sys: NonlinearSystem, basis,
     Qbar without calling the full-order ``f`` or ``jac``. Opaque
     callbacks, and any system with x* != 0, are projected at every call.
     """
-    shifted = shift_to_origin(sys, config)
+    shifted = shift_to_origin(sys)
     v = basis.v if hasattr(basis, "v") else np.asarray(basis, dtype=float)
     if v.shape[0] != sys.n:
         raise ValueError(f"basis has {v.shape[0]} rows, system has n = {sys.n}")

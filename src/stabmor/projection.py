@@ -155,8 +155,8 @@ def _orthonormalize_block(block: np.ndarray, v_cols: list[np.ndarray]):
     return kept
 
 
-def arnoldi_basis(sys: LinearSystem, r: int, s0: float = 1.0,
-                  config: Tolerances = DEFAULT) -> ProjectionBasis:
+def arnoldi_basis(sys: LinearSystem, r: int,
+                  s0: float = 1.0) -> ProjectionBasis:
     """Order-r basis of the block Krylov space of ((s0 E - A)^{-1} E, .).
 
     The start block is (s0 E - A)^{-1} B. Columns are orthonormalized by
@@ -190,6 +190,10 @@ def arnoldi_basis(sys: LinearSystem, r: int, s0: float = 1.0,
                            details={"s0": s0})
 
 
+# sigma_r <= RANK_DEFICIENT * sigma_1 means the snapshots have rank < r
+RANK_DEFICIENT = 1e-14
+
+
 def pod_basis(snapshots: np.ndarray | Snapshots, r: int,
               config: Tolerances = DEFAULT) -> ProjectionBasis:
     """Dominant r left singular vectors of a snapshot matrix.
@@ -203,7 +207,7 @@ def pod_basis(snapshots: np.ndarray | Snapshots, r: int,
         if snapshots.ndim != 2:
             raise ValueError("snapshots must form a matrix")
     u, sigma = thin_svd(snapshots, r, config)
-    if sigma[r - 1] <= config.rank_deficient * max(sigma[0], 1e-300):
+    if sigma[r - 1] <= RANK_DEFICIENT * max(sigma[0], 1e-300):
         raise RankDeficient(
             f"snapshot matrix has numerical rank < {r} "
             f"(sigma_r = {sigma[r - 1]:.3e}, sigma_1 = {sigma[0]:.3e})")

@@ -62,6 +62,13 @@ from .projection import ProjectionBasis, ReducedSystem
 # budget, unless a caller passes its own
 DEFAULT_DELTA = 1.0
 DEFAULT_ADI_STEPS = 10
+# accepted normwise backward error of a dense Lyapunov solve: residual over
+# 2 ||A||_F ||M||_F ||E||_F + ||F||_F. Correct solves measure 5e-18 to
+# 5e-17; a symmetric error of relative size 1e-6 in M gives about 2.5e-9 at
+# n = 300, so the check needs a bound well below that
+LYAP_DENSE_RESIDUAL = 1e-12
+# mode "auto" solves densely when k exceeds this fraction of n
+LRADI_RANK_FRACTION = 0.05
 
 __all__ = [
     "StabFactorRHS",
@@ -182,7 +189,7 @@ def solve_lyapunov_dense(a, e, f, config: Tolerances = DEFAULT) -> np.ndarray:
     residual = np.linalg.norm(a_d.T @ m @ e_d + e_d.T @ m @ a_d + f)
     scale = max(2.0 * np.linalg.norm(a_d) * np.linalg.norm(m)
                 * np.linalg.norm(e_d) + np.linalg.norm(f), 1e-300)
-    if residual > config.lyap_dense_residual * scale:
+    if residual > LYAP_DENSE_RESIDUAL * scale:
         raise StabmorError(
             f"dense Lyapunov solve residual {residual:.3e} exceeds tolerance "
             f"(backward error {residual / scale:.3e}); "
@@ -341,9 +348,9 @@ def solve_lyapunov_lradi(a, e, u_tilde: np.ndarray,
     return z, history
 
 
-def _factor_psd(m: np.ndarray, config: Tolerances) -> np.ndarray:
+def _factor_psd(m: np.ndarray) -> np.ndarray:
     """Thin factor Z with Z Z^T = m for symmetric positive semidefinite m."""
-    w, u = sym_eig_dense(m, config)
+    w, u = sym_eig_dense(m)
     cutoff = max(w[0], 0.0) * 1e-14
     keep = w > cutoff
     return u[:, keep] * np.sqrt(w[keep])
@@ -423,7 +430,7 @@ def assemble_stabilizer(sys: LinearSystem, delta: float = DEFAULT_DELTA,
     """Build the low-rank transformation factor for one system.
 
     mode "auto" picks the dense correction solve when the detected k
-    exceeds the configured fraction of n (low-rank ADI would not pay off)
+    exceeds LRADI_RANK_FRACTION of n (low-rank ADI would not pay off)
     and LR-ADI otherwise; "dense" and "lradi" force the choice. A
     dissipative system yields an empty factor. An LR-ADI factor that
     stops short of its certificate (see :class:`StabilizerFactor`) is
@@ -442,11 +449,11 @@ def assemble_stabilizer(sys: LinearSystem, delta: float = DEFAULT_DELTA,
                                 certificate_bound=min(delta,
                                                       abs(exc.mu_max)))
     if mode == "auto":
-        mode = "dense" if rhs.k > config.lradi_rank_fraction * sys.n else "lradi"
+        mode = "dense" if rhs.k > LRADI_RANK_FRACTION * sys.n else "lradi"
     if mode == "dense":
         dm = solve_lyapunov_dense(sys.a, sys.e,
                                   rhs.u_tilde @ rhs.u_tilde.T, config)
-        z = _factor_psd(dm, config)
+        z = _factor_psd(dm)
         history = (0.0,)
     else:
         z, hist = solve_lyapunov_lradi(sys.a, sys.e, rhs.u_tilde,
@@ -502,8 +509,7 @@ def stabilized_reduce(sys: LinearSystem, basis: ProjectionBasis,
 
 
 def condition_bound_check(stab: StabilizerFactor, sys: LinearSystem,
-                          basis: ProjectionBasis,
-                          config: Tolerances = DEFAULT):
+                          basis: ProjectionBasis):
     """Condition number of the reduced mass matrix and its a priori bound.
 
     Returns ``(cond, bound)`` with bound = 1 + ||E||^2 ||Z||^2 and raises
@@ -511,7 +517,7 @@ def condition_bound_check(stab: StabilizerFactor, sys: LinearSystem,
     """
     _, ebar = stab.test_basis(basis.v)
     z_norm = float(np.linalg.norm(stab.z, 2)) if stab.q else 0.0
-    w, _ = sym_eig_dense(ebar, config)
+    w, _ = sym_eig_dense(ebar)
     cond = float(w[0] / w[-1])
     bound = 1.0 + spectral_norm(sys.e) ** 2 * z_norm ** 2
     if cond > bound * (1.0 + 1e-10):

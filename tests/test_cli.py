@@ -10,7 +10,10 @@ import pytest
 
 from stabmor import analysis, benchgen, cli
 from stabmor.config import DEFAULT
-from stabmor.dynsys import LinearSystem, save_system, stability_report
+from stabmor.dynsys import (LinearSystem, load_system, save_system,
+                            stability_report)
+from stabmor.linalg import as_dense
+from stabmor.nonlinear import linearize
 
 
 def read_csv(path):
@@ -91,6 +94,36 @@ class TestGenerate:
         assert manifest["nonlinear"]["kind"] == "cubic_msd"
         assert manifest["nonlinear"]["gamma"] == 0.7
         assert manifest["n"] == 6
+
+    @pytest.mark.parametrize("argv", [
+        ["msd", "--masses", "5", "--mass", "2", "--output-node", "2"],
+        ["cubic-msd", "--masses", "4", "--gamma", "0.7"],
+        ["nonnormal", "--n", "40", "--kappa", "20", "--seed", "3"],
+        ["convdiff", "--n", "60", "--grade", "6"],
+    ])
+    def test_report_rebuilds_the_bundle(self, tmp_path, argv):
+        out = tmp_path / "fom"
+        assert cli.main(["generate", *argv, "--out", str(out)]) == 0
+        params = json.loads((out / "report.json").read_text())["settings"][
+            "generator"]
+        kind = params.pop("kind")
+        generator = {"msd": benchgen.gen_msd_chain,
+                     "cubic_msd": benchgen.gen_cubic_msd,
+                     "nonnormal": benchgen.gen_nonnormal_stable,
+                     "convdiff": benchgen.gen_convection_diffusion}[kind]
+        rebuilt = generator(**params)
+        if kind == "cubic_msd":
+            rebuilt = linearize(rebuilt)
+            nonlinear = json.loads((out / "manifest.json").read_text())[
+                "nonlinear"]
+            assert list(nonlinear) == ["kind", "masses", "mass", "stiffness",
+                                       "damping", "gamma", "input_node",
+                                       "output_node"]
+            assert nonlinear == {"kind": kind, **params}
+        bundle = load_system(out)
+        for name in ("e", "a", "b", "c"):
+            np.testing.assert_array_equal(as_dense(getattr(rebuilt, name)),
+                                          as_dense(getattr(bundle, name)))
 
     def test_stability_summary_above_the_dense_cap(self, tmp_path, capsys,
                                                    monkeypatch):
@@ -239,7 +272,7 @@ class TestReduce:
         fom = make_msd_bundle(tmp_path / "fom")
         out = tmp_path / "red"
         cli.main(["reduce", "--bundle", str(fom), "--r", "2,1", "--stabilize",
-                  "--out", str(out)])
+                  "--mode", "dense", "--out", str(out)])
         text = (out / "report.json").read_text()
         report = json.loads(text)
         # stable formatting: sorted keys, trailing newline
@@ -250,7 +283,12 @@ class TestReduce:
         assert settings["r_list"] == [1, 2]
         assert settings["stabilize"] is True
         assert settings["adi"]["steps"] >= 1
+        assert settings["adi"]["mode"] == "dense"
         assert settings["seed"] == 0
+        # the certificate as the stabilizer manifest records it
+        manifest = json.loads((out / "stabilizer" / "manifest.json").read_text())
+        for key in ("mode", "certified", "residual_norm", "certificate_bound"):
+            assert report["stabilizer"][key] == manifest[key], key
 
 
 class TestSimulate:
